@@ -5,8 +5,9 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload fleet-steady-256 --seed 7 \\
         --seconds 12 --trace 0
 
-``--trace 0`` prints the end-to-end metrics: warm throughput and round
-latency, set-up time and peak memory of a fresh interpreter, and the
+``--trace 0`` prints the end-to-end metrics: warm throughput, round
+latency and a fresh interpreter's set-up time, all scaled to nominal
+host speed (see ``worker.Calibration``), its peak memory, and the
 simulated QoS.  ``--trace 1`` prints the per-layer metrics from a
 separate run with spans at every layer boundary (see ``tracing.py``).
 Each role runs in its own fresh interpreter (``worker.py``), one at a
@@ -141,10 +142,12 @@ def end_to_end(args, seed: str, deadline: float):
     """
     others = ["reference"] + ["setup"] * (SETUP_SAMPLES - 2)
     window = repr(args.seconds / (len(others) + 1))
-    walls, rounds, colds, marks = [], [], [], []
+    walls, raw_walls, kernel_s, rounds, marks = [], [], [], [], []
+    colds, raw_colds = [], []
     with Worker("measure", args, seed, deadline) as measured:
         first = measured.read()
         colds.append(first["cold_s"])
+        raw_colds.append(first["cold_s_as_measured"])
         marks += first["marks"]
         qos = first["qos"]
         if qos is None:
@@ -154,6 +157,8 @@ def end_to_end(args, seed: str, deadline: float):
             measured.send(window)
             got = measured.read()
             walls.extend(got["walls"])
+            raw_walls.extend(got["raw_walls"])
+            kernel_s.extend(got["kernel_s"])
             rounds.extend(got["rounds_ms"])
             marks.extend(got["marks"])
 
@@ -161,6 +166,7 @@ def end_to_end(args, seed: str, deadline: float):
         for role in others:
             report = run_worker(role, args, seed, deadline)
             colds.append(report["cold_s"])
+            raw_colds.append(report["cold_s_as_measured"])
             marks += report["marks"]
             if role == "reference":
                 oracle = report["reference"]
@@ -199,9 +205,15 @@ def end_to_end(args, seed: str, deadline: float):
         "top_class_acceptance": (qos["top_class_acceptance"], "ratio", 1),
         "top_class_quality": (qos["top_class_quality"], "level", 1),
     }
+    raw_warm = statistics.median(raw_walls)
     notes = {
         "warm_serve_s_median": warm,
+        "warm_serve_s_median_as_measured": raw_warm,
+        "frames_per_s_as_measured": qos["frames"] / raw_warm,
+        "calibration_kernel_us_median": 1e6 * statistics.median(kernel_s),
         "cold_s": colds,
+        "cold_s_as_measured": raw_colds,
+        "setup_s_as_measured": statistics.median(raw_colds),
         "cold_minus_warm_s": statistics.median(colds) - warm,
         "skip_ratio": qos["skip_ratio"],
         "deadline_miss_ratio": qos["deadline_miss_ratio"],

@@ -8,15 +8,18 @@ with the checkout's ``src`` on ``PYTHONPATH``::
 Roles:
 
 * ``measure`` — ``import repro`` and the cold serve (timed together),
-  then windows of warm serves with a round clock attached, as many and
-  as long as standard input asks for (see :func:`measure`);
+  then windows of warm serves, as many and as long as standard input
+  asks for (see :func:`measure`);
 * ``setup`` — the timed import and cold serve only;
 * ``reference`` — the timed import and cold serve, then one serve of
   the same spec on the reference engine (the output oracle);
 * ``trace`` — per-layer spans: a traced cold serve, then warm serves
   alternating untraced and traced for ``SECONDS``.
 
-Every report is one JSON line on standard output; the last carries
+The cold start of ``measure``, ``setup`` and ``reference`` and the warm
+serves of ``measure`` carry a round clock, which scales their host time
+to nominal host speed (see :class:`Calibration`).  Every
+report is one JSON line on standard output; the last carries
 the path ``repro`` was imported from.  Every serve is fingerprinted
 outside any timed region; a serve that raises is recorded as
 ``{"error": ...}`` and the run carries on.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import resource
+import statistics
 import sys
 import traceback
 from pathlib import Path
@@ -41,6 +45,55 @@ MIN_TRACED_SERVES = 3
 #: The traced window stops at this many times ``SECONDS``, even short
 #: of ``MIN_TRACED_SERVES``.
 WINDOW_CAP = 3
+#: The calibration kernel's time at nominal host speed: its best time in
+#: a tight loop on the two-vCPU guest the first numbers were taken on.
+CAL_NOMINAL_S = 62e-6
+
+
+class Calibration:
+    """A fixed kernel whose time tracks the host's current speed.
+
+    A shared host slows this interpreter by up to twice for stretches
+    of seconds, with no steal time and CPU time tracking wall time.
+    The kernel mixes interpreter work with NumPy work on small and
+    4096-element arrays, as the scalar and vectorized engines do, so
+    timing it between two rounds measures the slowdown those rounds ran
+    under.  Calling it returns its best time of three, in seconds.
+    """
+
+    class Cell:
+        __slots__ = ("x", "y")
+
+        def __init__(self, x):
+            self.x = x
+            self.y = 0.0
+
+    def __init__(self):
+        import numpy
+
+        self.array = numpy.arange(32.0)
+        self.block = numpy.arange(4096.0)
+        self.cells = [self.Cell(float(i)) for i in range(64)]
+
+    def kernel(self) -> float:
+        table = {}
+        for cell in self.cells:
+            cell.y = cell.x * 1.5 + table.get(int(cell.x) & 7, 0.0)
+            table[int(cell.x) & 7] = cell.y
+        total = 0.0
+        for _ in range(8):
+            total += float((self.array * 1.01 + 2.0).sum())
+        for _ in range(4):
+            total += float((self.block * 1.01 + 2.0).sum())
+        return total
+
+    def __call__(self) -> float:
+        best = float("inf")
+        for _ in range(3):
+            start = perf_counter()
+            self.kernel()
+            best = min(best, perf_counter() - start)
+        return best
 
 
 def checked(serve, *args):
@@ -63,12 +116,73 @@ def checked(serve, *args):
     return result, workloads.fingerprint(result), wall
 
 
+def clock_type(repro, calibrate):
+    """The round clock, a ``repro.RoundObserver``.
+
+    ``repro`` is imported inside the timed cold start, so the class is
+    built after it.
+    """
+
+    class RoundClock(repro.RoundObserver):
+        """Host time of every stretch of a serve, scaled to nominal speed.
+
+        ``mark`` runs the calibration kernel at the serve's start, at
+        the first ``on_round`` of every round index and at its end.
+        Each stretch between two marks, the kernel's own time left out,
+        is scaled by ``CAL_NOMINAL_S`` over the mean kernel time at its
+        two ends.
+        """
+
+        def __init__(self):
+            self.ends, self.starts, self.kernel_s = [], [], []
+            self.last = None
+
+        def mark(self):
+            self.ends.append(perf_counter())
+            self.kernel_s.append(calibrate())
+            self.starts.append(perf_counter())
+
+        def on_round(self, round_index, allocations, capacity, shard_id=None):
+            if round_index != self.last:
+                self.last = round_index
+                self.mark()
+
+        def stretches(self):
+            """``(raw, scaled)`` seconds of each stretch, in order."""
+            raw = [
+                end - start for start, end in zip(self.starts, self.ends[1:])
+            ]
+            speeds = [
+                CAL_NOMINAL_S / ((before + after) / 2)
+                for before, after in zip(self.kernel_s, self.kernel_s[1:])
+            ]
+            return raw, [s * speed for s, speed in zip(raw, speeds)]
+
+    return RoundClock
+
+
 def cold_start(spec):
-    """``import repro`` plus the first serve, timed from process start."""
+    """``import repro`` plus the first serve, timed from process start.
+
+    Returns ``repro``, the result, its mark, the cold start's seconds
+    (``cold_s`` scaled to nominal host speed, and as measured) and the
+    round clock type.  The serve is scaled by a round clock; the import
+    before it by the host speed measured when it ends.
+    """
     import repro
 
-    result, mark, _ = checked(repro.serve, spec)
-    return repro, result, mark, perf_counter() - START
+    clock_class = clock_type(repro, Calibration())
+    clock = clock_class()
+    clock.mark()
+    result, mark, _ = checked(repro.serve, spec, [clock])
+    clock.mark()
+    raw, scaled = clock.stretches()
+    lead_in = clock.ends[0] - START
+    cold = {
+        "cold_s": lead_in * CAL_NOMINAL_S / clock.kernel_s[0] + sum(scaled),
+        "cold_s_as_measured": lead_in + sum(raw),
+    }
+    return repro, result, mark, cold, clock_class
 
 
 def decisions(result) -> int:
@@ -90,63 +204,59 @@ def measure(spec) -> dict:
     Prints the cold start's report, then reads standard input: each
     line ``SECONDS`` serves warm for that long (with a round clock
     attached) and prints that window's samples; ``done`` ends the role.
+    Every serve's wall and rounds are reported scaled to nominal host
+    speed (see :class:`Calibration`), the wall also as measured.
     """
-    repro, result, mark, cold_s = cold_start(spec)
+    repro, result, mark, cold, RoundClock = cold_start(spec)
     emit({
-        "cold_s": cold_s,
+        **cold,
         "marks": [mark],
         "qos": None if result is None else workloads.qos(result, spec),
     })
     del result
 
-    class RoundClock(repro.RoundObserver):
-        """First ``on_round`` stamp of every round index."""
-
-        def __init__(self):
-            self.stamps = []
-            self.last = None
-
-        def on_round(self, round_index, allocations, capacity, shard_id=None):
-            if round_index != self.last:
-                self.last = round_index
-                self.stamps.append(perf_counter())
-
     for command in sys.stdin:
         if command.strip() == "done":
             break
         seconds = float(command)
-        walls, rounds_ms, marks = [], [], []
+        walls, raw_walls, rounds_ms, kernel_s, marks = [], [], [], [], []
         window = perf_counter()
         while perf_counter() - window < seconds:
             clock = RoundClock()
-            result, mark, wall = checked(repro.serve, spec, [clock])
+            clock.mark()
+            result, mark, _ = checked(repro.serve, spec, [clock])
+            clock.mark()
             marks.append(mark)
             if result is None:
                 continue
-            walls.append(wall)
-            stamps = clock.stamps
-            rounds_ms.append([
-                1e3 * (later - earlier)
-                for earlier, later in zip(stamps, stamps[1:])
-            ])
+            raw, scaled = clock.stretches()
+            raw_walls.append(sum(raw))
+            walls.append(sum(scaled))
+            kernel_s.append(statistics.median(clock.kernel_s))
+            # the stretches between first on_round calls of consecutive
+            # round indices, without the lead-in and the wind-down
+            rounds_ms.append([1e3 * s for s in scaled[1:-1]])
             del result
-        emit({"walls": walls, "rounds_ms": rounds_ms, "marks": marks})
+        emit({
+            "walls": walls, "raw_walls": raw_walls, "kernel_s": kernel_s,
+            "rounds_ms": rounds_ms, "marks": marks,
+        })
     rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"peak_rss_mib": rss_mib}
 
 
 def reference(spec) -> dict:
-    repro, _, mark, cold_s = cold_start(spec)
+    repro, _, mark, cold, _ = cold_start(spec)
     oracle = dict(spec, engine=workloads.reference_engine(spec))
     _, reference_mark, _ = checked(repro.serve, oracle)
     if isinstance(reference_mark, dict):
         raise RuntimeError(f"reference serve failed: {reference_mark['error']}")
-    return {"cold_s": cold_s, "marks": [mark], "reference": reference_mark}
+    return {**cold, "marks": [mark], "reference": reference_mark}
 
 
 def setup(spec) -> dict:
-    _, _, mark, cold_s = cold_start(spec)
-    return {"cold_s": cold_s, "marks": [mark]}
+    _, _, mark, cold, _ = cold_start(spec)
+    return {**cold, "marks": [mark]}
 
 
 def trace(spec, workload: str, seconds: float, out_dir: Path, seed) -> dict:
