@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Every bench reproduces one table/figure of the paper (see DESIGN.md
-section 4).  Benches default to the /4-scaled configuration (same
-utilization operating points, ~4x faster); set ``REPRO_FULL_SCALE=1``
-to run the paper-scale setup.  Each bench writes its series to
+Every paper bench reproduces one table/figure of the paper.  Benches
+default to the /4-scaled configuration (same utilization operating
+points, ~4x faster); set ``REPRO_FULL_SCALE=1`` to run the paper-scale
+setup.  Each bench writes its series to
 ``benchmarks/results/*.csv`` and prints an ASCII rendering of the
 figure (run pytest with ``-s`` to see them).
 """

@@ -31,7 +31,6 @@ from repro.cluster.migration import (
     MigrationPolicy,
     NoMigration,
     QueueRebalanceMigration,
-    make_migration,
 )
 from repro.cluster.placement import (
     BestFitPlacement,
@@ -40,7 +39,6 @@ from repro.cluster.placement import (
     PredictivePlacement,
     QualityAwarePlacement,
     RoundRobinPlacement,
-    make_placement,
 )
 from repro.cluster.runner import (
     ClusterResult,
@@ -80,8 +78,6 @@ __all__ = [
     "build_shards",
     "compare_placements",
     "flash_crowd_split",
-    "make_migration",
-    "make_placement",
     "shard_outage",
     "skewed_churn",
     "skewed_cluster",

@@ -219,15 +219,3 @@ class LoadBalanceMigration(QueueRebalanceMigration):
         if not candidates:
             return None
         return min(candidates, key=lambda s: (s.load, shards.index(s)))
-
-
-def make_migration(name: str, **kwargs) -> MigrationPolicy:
-    """Migration factory by policy name.
-
-    Thin alias of the serving layer's ``MIGRATIONS`` registry
-    (:mod:`repro.serving.registry`); policies registered with
-    :func:`repro.serving.register_migration` resolve here too.
-    """
-    from repro.serving.registry import MIGRATIONS
-
-    return MIGRATIONS.create(name, **kwargs)

@@ -194,15 +194,3 @@ class QualityAwarePlacement(PlacementPolicy):
                 ),
             )
         return self._fallback._choose(spec, shards, round_index)
-
-
-def make_placement(name: str, **kwargs) -> PlacementPolicy:
-    """Placement factory by policy name.
-
-    Thin alias of the serving layer's ``PLACEMENTS`` registry
-    (:mod:`repro.serving.registry`); policies registered with
-    :func:`repro.serving.register_placement` resolve here too.
-    """
-    from repro.serving.registry import PLACEMENTS
-
-    return PLACEMENTS.create(name, **kwargs)

@@ -41,7 +41,7 @@ from repro.cluster.shard import Shard
 from repro.engine import validate_engine
 from repro.errors import ConfigurationError
 from repro.streams.admission import AdmissionController, qmin_demand
-from repro.streams.arbiter import CapacityArbiter, make_arbiter
+from repro.streams.arbiter import CapacityArbiter
 from repro.streams.fleet import (
     FleetResult,
     class_breakdown,
@@ -260,10 +260,14 @@ def build_shards(
     shards = []
     for i, capacity in enumerate(capacities):
         # arbiters are stateless (allocate is pure), so one instance
-        # may serve every shard
-        shard_arbiter = (
-            make_arbiter(arbiter) if isinstance(arbiter, str) else arbiter
-        )
+        # may serve every shard; a registry name builds one per shard
+        if isinstance(arbiter, str):
+            # deferred: the serving registry imports the cluster layer
+            from repro.serving.registry import ARBITERS
+
+            shard_arbiter = ARBITERS.create(arbiter)
+        else:
+            shard_arbiter = arbiter
         if admission_factory is not None:
             gate = admission_factory(capacity)
         elif admission:
@@ -309,13 +313,9 @@ class ClusterRunner:
         Session execution engine (see :mod:`repro.engine`):
         ``"scalar"`` steps shards (and their sessions) sequentially one
         by one; ``"vectorized"`` batches each shard's sessions through
-        the numpy kernel; ``"parallel"`` additionally steps independent
-        shards concurrently on a worker pool that synchronizes only at
-        the :class:`HeadroomBalancer` barrier, with observer events
-        buffered per shard and replayed in scalar order.  The knob is
-        pushed onto every shard at the start of each run (like
-        ``observers``), so it also applies to caller-provided shards.
-        All engines are bit-identical.
+        the numpy kernel.  The knob is pushed onto every shard at the
+        start of each run (like ``observers``), so it also applies to
+        caller-provided shards.  Both engines are bit-identical.
     shard_kwargs:
         Passed to :func:`build_shards` (arbiter, admission, ...).
     """
@@ -436,42 +436,6 @@ class ClusterRunner:
         # shards the autoscaler retired mid-run; their serving history
         # still counts in the aggregate result
         retired: list[Shard] = []
-        executor = None
-        if self.engine == "parallel" and len(shards) > 1:
-            # one worker pool per run; shards share no mutable state,
-            # so each round's shard steps are independent between the
-            # balancer barrier and the next round's placement phase
-            import os
-            from concurrent.futures import ThreadPoolExecutor
-
-            executor = ThreadPoolExecutor(
-                max_workers=min(len(shards), os.cpu_count() or 2),
-                thread_name_prefix="shard-step",
-            )
-        try:
-            round_index = self._serve_rounds(
-                scenario, shards, by_id, arrivals, horizon, timed, result,
-                executor, observers, phase_observers, open_ended, retired,
-            )
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
-        result.rounds = round_index
-        result.shard_results = [
-            s.result(scenario.name, round_index) for s in shards + retired
-        ]
-        result.shard_demand_cycles = [
-            s.demand_cycles for s in shards + retired
-        ]
-        if self.balancer is not None:
-            result.lent_cycles = self.balancer.lent_cycles
-        return result
-
-    def _serve_rounds(
-        self, scenario, shards, by_id, arrivals, horizon, timed, result,
-        executor, observers, phase_observers, open_ended, retired,
-    ) -> int:
-        """The round loop of :meth:`run`; returns the rounds served."""
         round_index = 0
         # the drain tail of an open-ended run extends past the stop
         # round, so the runaway valve has to sit beyond it
@@ -563,27 +527,11 @@ class ClusterRunner:
                 for observer in phase_observers:
                     observer.on_phase("balancing", now - t0, round_index)
             result.capacity_rounds += sum(s.capacity for s in shards)
-            if executor is not None:
-                from repro.engine.parallel import step_shards
-
-                step_shards(
-                    executor,
-                    shards,
+            for shard in shards:
+                shard.step(
                     round_index,
-                    lambda shard: (
-                        None if effective is None
-                        else effective[shard.shard_id]
-                    ),
-                    observers,
+                    None if effective is None else effective[shard.shard_id],
                 )
-            else:
-                for shard in shards:
-                    shard.step(
-                        round_index,
-                        None
-                        if effective is None
-                        else effective[shard.shard_id],
-                    )
             # 7. autoscaling: plan from this round's signals, apply the
             # actions between rounds (the next round sees the new pools)
             if self.autoscaler is not None:
@@ -593,7 +541,16 @@ class ClusterRunner:
                         observers, result,
                     )
             round_index += 1
-        return round_index
+        result.rounds = round_index
+        result.shard_results = [
+            s.result(scenario.name, round_index) for s in shards + retired
+        ]
+        result.shard_demand_cycles = [
+            s.demand_cycles for s in shards + retired
+        ]
+        if self.balancer is not None:
+            result.lent_cycles = self.balancer.lent_cycles
+        return result
 
     # ------------------------------------------------------------------
     # autoscaling

@@ -1,9 +1,10 @@
 """One shard: a capacity pool with its own arbiter and admission gate.
 
-A :class:`Shard` is the steppable building block of the cluster layer —
-essentially one :class:`~repro.streams.fleet.FleetRunner` round opened
-up so a :class:`~repro.cluster.runner.ClusterRunner` can interleave
-many pools and move streams between them:
+A :class:`Shard` is the one place the pool round lives (offer → queue →
+arbitrate → step → retire → result).  A
+:class:`~repro.cluster.runner.ClusterRunner` interleaves many shards and
+moves streams between them; a :class:`~repro.streams.fleet.FleetRunner`
+is the one-shard case, stepping a single shard with no shard id:
 
 * ``offer`` routes an arriving :class:`StreamSpec` through the shard's
   own :class:`~repro.streams.admission.AdmissionController` (accept /
@@ -50,7 +51,9 @@ class Shard:
     Parameters
     ----------
     shard_id:
-        Stable name (placement and migration records refer to it).
+        Stable name (placement and migration records refer to it);
+        ``None`` for a fleet's single pool, so hooks fire with
+        ``shard_id=None`` exactly as for an unsharded run.
     capacity:
         The shard's share of the cluster budget (cycles per round).
     arbiter:
@@ -71,15 +74,14 @@ class Shard:
     engine:
         Session execution engine (see :mod:`repro.engine`):
         ``"scalar"`` steps sessions one by one, ``"vectorized"`` steps
-        the shard's active sessions as numpy batches.  ``"parallel"``
-        behaves as ``"vectorized"`` at shard level — the across-shard
-        worker pool lives in the cluster runner, which also overwrites
-        this knob (like ``observers``) at the start of every run.
+        the shard's active sessions as numpy batches.  The cluster
+        runner overwrites this knob (like ``observers``) at the start
+        of every run.
     """
 
     def __init__(
         self,
-        shard_id: str,
+        shard_id: str | None,
         capacity: float,
         arbiter: CapacityArbiter,
         admission: AdmissionController | None = None,

@@ -48,7 +48,8 @@ class PaperConstants:
     #: skipped-frame PSNR bound ("e.g. lower than 25")
     skip_psnr_bound: float = 25.0
     #: macroblocks per frame — not stated in the paper; chosen so the
-    #: Fig. 5 tables land on the paper's operating points (DESIGN.md 3.3)
+    #: Fig. 5 tables land on the paper's operating points (q3 ~87 %,
+    #: q4 ~95 % of the period)
     macroblocks: int = 1620
 
     @property
@@ -63,7 +64,7 @@ class PaperConstants:
         return self.macroblocks * per_macroblock_worst_load(quality)
 
     def average_utilization(self, quality: int) -> float:
-        """Average load over P — the design-point table in DESIGN.md 3.3."""
+        """Average load over P — the design-point calibration per quality."""
         return self.average_frame_load(quality) / self.period
 
 

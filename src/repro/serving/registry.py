@@ -7,8 +7,8 @@ through one :class:`PolicyRegistry` instance per family.  A
 :class:`~repro.serving.spec.ServingSpec` validates its policy names
 against these tables eagerly, and :func:`repro.serving.serve` builds
 the runner from them, so a third-party policy plugs into every entry
-point (specs, examples, benches, the CLI-ish factories) with one
-``register_*`` call and zero runner changes::
+point (specs, examples, benches, the CLI) with one ``register_*``
+call and zero runner changes::
 
     from repro.serving import register_arbiter
 
@@ -19,11 +19,6 @@ point (specs, examples, benches, the CLI-ish factories) with one
 
     serve({"scenario": {"name": "steady", "kwargs": {"count": 4}},
            "capacity": 64e6, "arbiter": "lottery"})
-
-The legacy factories (``repro.streams.arbiter.make_arbiter``,
-``repro.cluster.placement.make_placement``,
-``repro.cluster.migration.make_migration``) are thin aliases over these
-registries, so policies registered here are visible there too.
 """
 
 from __future__ import annotations

@@ -297,7 +297,7 @@ class EncoderSimulation:
         self._me_positions = compiled.me_positions
         self._rows = compiled.rows
         # worst-case ceilings used to keep biased platforms inside the
-        # C <= Cwc contract (DESIGN.md: the method's only assumption)
+        # C <= Cwc contract (the method's only assumption)
         self._grab_ceiling = FIXED_ACTION_TIMES[GRAB_ACTION][1]
         self._post_ceiling = sum(
             wc for action, (_, wc) in FIXED_ACTION_TIMES.items()

@@ -24,7 +24,6 @@ from repro.streams.arbiter import (
     EqualShareArbiter,
     QualityFairArbiter,
     WeightedShareArbiter,
-    make_arbiter,
 )
 from repro.streams.fleet import (
     FleetResult,
@@ -62,7 +61,6 @@ __all__ = [
     "compare_arbiters",
     "flash_crowd",
     "heterogeneous_mix",
-    "make_arbiter",
     "poisson_churn",
     "qmin_demand",
     "steady_fleet",

@@ -154,17 +154,3 @@ class QualityFairArbiter(CapacityArbiter):
             deficit = max(0.0, 1.0 - quality) + self.deficit_margin
             shares.append(r.weight * r.demand * deficit**self.pressure)
         return shares
-
-
-def make_arbiter(name: str, **kwargs) -> CapacityArbiter:
-    """Arbiter factory by policy name.
-
-    Thin alias of the serving layer's ``ARBITERS`` registry
-    (:mod:`repro.serving.registry`), kept for existing callers — an
-    arbiter registered with :func:`repro.serving.register_arbiter` is
-    immediately constructible here too.  The import is deferred so the
-    streams layer never depends on the serving package at import time.
-    """
-    from repro.serving.registry import ARBITERS
-
-    return ARBITERS.create(name, **kwargs)

@@ -13,6 +13,10 @@ round by round:
    grant — round-robin interleaving, deterministic order;
 5. finished sessions retire, their committed capacity is released.
 
+A fleet is the one-pool case of the cluster layer: steps 1-5 are a
+single :class:`~repro.cluster.shard.Shard` (with no shard id), and the
+runner only feeds it arrivals and decides when the run is over.
+
 The run is fully deterministic for a fixed scenario: sessions draw from
 seeded generators and the loop orders everything by arrival.  The
 result aggregates per-stream :class:`~repro.sim.results.RunResult`s
@@ -33,10 +37,9 @@ from repro.analysis.metrics import jain_fairness_index
 from repro.engine import validate_engine
 from repro.errors import ConfigurationError
 from repro.sim.results import RunResult
-from repro.streams.admission import AdmissionController, AdmissionDecision
-from repro.streams.arbiter import CapacityArbiter, CapacityRequest
+from repro.streams.admission import AdmissionController
+from repro.streams.arbiter import CapacityArbiter
 from repro.streams.scenarios import Scenario, StreamSpec
-from repro.streams.session import StreamSession
 
 
 @dataclass(frozen=True)
@@ -310,10 +313,8 @@ class FleetRunner:
     engine:
         Session execution engine (see :mod:`repro.engine`):
         ``"scalar"`` steps sessions one by one, ``"vectorized"`` steps
-        all active sessions as numpy batches.  ``"parallel"`` is
-        accepted and behaves as ``"vectorized"`` — a fleet is a single
-        capacity pool, so there are no independent shards to fan out.
-        All engines are bit-identical.
+        all active sessions as numpy batches.  Both engines are
+        bit-identical.
     """
 
     def __init__(
@@ -359,33 +360,30 @@ class FleetRunner:
         if self.admission is not None:
             self.admission.reset()
 
-    # ------------------------------------------------------------------
-
-    def _session(self, spec: StreamSpec) -> StreamSession:
-        return StreamSession(
-            stream_id=spec.name,
-            config=spec.config,
-            constraint_mode=self.constraint_mode,
-            granularity=self.granularity,
-            weight=spec.weight,
-            lifetime=getattr(spec, "lifetime", None),
-            **session_sla_kwargs(
-                spec, self.service_classes, self.renegotiation
-            ),
-        )
-
     def run(self, scenario: Scenario) -> FleetResult:
         """Serve the whole scenario to completion.
 
-        Self-contained: admission state is reset on entry, so replaying
-        a scenario on the same runner reproduces it exactly.
+        The pool round itself (offer, queue, arbitrate, step, retire)
+        is one :class:`~repro.cluster.shard.Shard` with no shard id;
+        this loop only feeds it arrivals and decides when the run is
+        over.  Self-contained: admission state is reset on entry, so
+        replaying a scenario on the same runner reproduces it exactly.
         """
+        # imported lazily — the cluster layer imports this module
+        from repro.cluster.shard import Shard
+
         self.reset()
-        result = FleetResult(
-            scenario_name=scenario.name,
-            arbiter_name=getattr(self.arbiter, "name", type(self.arbiter).__name__),
+        shard = Shard(
+            shard_id=None,
             capacity=self.capacity,
-            rounds=0,
+            arbiter=self.arbiter,
+            admission=self.admission,
+            constraint_mode=self.constraint_mode,
+            granularity=self.granularity,
+            observers=self.observers,
+            service_classes=self.service_classes,
+            renegotiation=self.renegotiation,
+            engine=self.engine,
         )
         timed = False
         phase_observers: tuple = ()
@@ -398,9 +396,6 @@ class FleetRunner:
             timed = bool(phase_observers)
             for observer in self.observers:
                 observer.on_capacity(self.capacity, 0)
-        active: list[StreamSession] = []
-        spec_of: dict[str, StreamSpec] = {}
-        admitted_round: dict[str, int] = {}
         round_index = 0
         # open-ended scenarios never drain on their own: max_rounds is
         # their *stop condition* — arrivals end there, live cameras are
@@ -415,8 +410,7 @@ class FleetRunner:
                 if open_ended
                 else round_index <= scenario.last_arrival_round
             )
-            or active
-            or (self.admission is not None and self.admission.queue)
+            or shard.busy
         ):
             if round_index >= round_limit:
                 raise ConfigurationError(
@@ -426,144 +420,22 @@ class FleetRunner:
             draining = open_ended and round_index >= stop_round
             if draining:
                 # stop condition reached: no new frames, no new streams
-                for session in active:
-                    session.shutdown()
-                if self.admission is not None and self.admission.queue:
-                    self._flush_queue(result, round_index)
-            # 1. arrivals through admission
+                shard.shutdown_sessions()
+                shard.flush_queue(round_index)
+            # arrivals through admission; departures last round may
+            # have freed capacity for the queue
             t0 = perf_counter() if timed else 0.0
-            arrivals = [] if draining else scenario.arrivals_at(round_index)
-            for spec in arrivals:
-                if self.admission is None:
-                    self._admit(spec, round_index, active, spec_of, admitted_round)
-                    continue
-                verdict = self.admission.offer(spec)
-                # a queued spec evicted by this offer is finally
-                # rejected here and ONLY here: once in the totals,
-                # one on_reject (tests/serving/test_serving_observers)
-                for victim in verdict.preempted:
-                    result.rejected.append(victim)
-                    result.preempted.append(victim)
-                    for observer in self.observers:
-                        observer.on_preempt(victim, round_index)
-                        observer.on_reject(victim, round_index)
-                if verdict.decision is AdmissionDecision.ACCEPTED:
-                    self._admit(spec, round_index, active, spec_of, admitted_round)
-                elif verdict.decision is AdmissionDecision.REJECTED:
-                    result.rejected.append(spec)
-                    for observer in self.observers:
-                        observer.on_reject(spec, round_index)
-                # QUEUED specs wait inside the admission controller
-            # 2. departures last round may have freed capacity
-            if self.admission is not None:
-                for spec in self.admission.admit_queued():
-                    self._admit(spec, round_index, active, spec_of, admitted_round)
+            if not draining:
+                for spec in scenario.arrivals_at(round_index):
+                    shard.offer(spec, round_index)
+            shard.admit_queued(round_index)
             if timed:
                 now = perf_counter()
                 for observer in phase_observers:
                     observer.on_phase("admission", now - t0, round_index)
-                t0 = now
-            # 3 + 4. arbitrate and step
-            allocations: dict[str, float] = {}
-            if active:
-                result.peak_concurrency = max(result.peak_concurrency, len(active))
-                requests = [
-                    CapacityRequest(
-                        stream_id=s.stream_id,
-                        demand=s.demand,
-                        weight=s.weight,
-                        recent_quality=s.normalized_recent_quality(),
-                        backlog=s.backlog,
-                        service_class=s.service_class,
-                        target_quality=s.quality_target,
-                    )
-                    for s in active
-                ]
-                allocations = self.arbiter.allocate(requests, self.capacity)
-            if timed:
-                now = perf_counter()
-                for observer in phase_observers:
-                    observer.on_phase("arbitration", now - t0, round_index)
-                t0 = now
-            for observer in self.observers:
-                observer.on_round(round_index, allocations, self.capacity)
-            if active:
-                if self.engine == "scalar":
-                    step_of = None
-                else:
-                    # batched stepping computes every SessionStep up
-                    # front; the loop below still applies bookkeeping
-                    # and fires hooks in session order, so results and
-                    # event logs match the scalar engine bit for bit
-                    from repro.engine.vectorized import step_sessions
-
-                    step_of = step_sessions(active, allocations)
-                still_active: list[StreamSession] = []
-                for session in active:
-                    step = (
-                        session.step(allocations[session.stream_id])
-                        if step_of is None
-                        else step_of[session.stream_id]
-                    )
-                    if step.renegotiated is not None:
-                        old, new = step.renegotiated
-                        for observer in self.observers:
-                            observer.on_renegotiate(
-                                session.stream_id, old, new, round_index
-                            )
-                    if step.finished:
-                        spec = spec_of.pop(session.stream_id)
-                        outcome = StreamOutcome(
-                            spec=spec,
-                            result=session.result(),
-                            admitted_round=admitted_round.pop(
-                                session.stream_id
-                            ),
-                            finished_round=round_index,
-                            renegotiations=session.renegotiation_count,
-                        )
-                        result.streams.append(outcome)
-                        if self.admission is not None:
-                            self.admission.release(spec.config)
-                        for observer in self.observers:
-                            observer.on_depart(outcome, round_index)
-                    else:
-                        still_active.append(session)
-                active = still_active
-            if timed:
-                now = perf_counter()
-                for observer in phase_observers:
-                    observer.on_phase("step", now - t0, round_index)
+            shard.step(round_index)
             round_index += 1
-        result.rounds = round_index
-        return result
-
-    def _flush_queue(self, result: FleetResult, round_index: int) -> None:
-        """Reject every queued spec — arrivals are over, the run drains."""
-        queue = self.admission.queue
-        while queue:
-            spec = queue.popleft()
-            self.admission.rejected_count += 1
-            result.rejected.append(spec)
-            for observer in self.observers:
-                observer.on_reject(spec, round_index)
-
-    def _admit(
-        self,
-        spec: StreamSpec,
-        round_index: int,
-        active: list[StreamSession],
-        spec_of: dict[str, StreamSpec],
-        admitted_round: dict[str, int],
-    ) -> None:
-        if spec.name in spec_of:
-            raise ConfigurationError(f"duplicate stream name {spec.name!r}")
-        session = self._session(spec)
-        active.append(session)
-        spec_of[spec.name] = spec
-        admitted_round[spec.name] = round_index
-        for observer in self.observers:
-            observer.on_admit(spec, round_index)
+        return shard.result(scenario.name, round_index)
 
 
 def compare_arbiters(

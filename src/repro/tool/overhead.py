@@ -7,7 +7,7 @@ the overhead in runtime is estimated less than 1.5 % of the overall
 execution time."
 
 We cannot compile for XiRisc, so the three ratios are *modelled* from
-the same artifact sizes the paper measured (DESIGN.md section 2):
+the same artifact sizes the paper measured:
 
 * code size — generic controller code plus embedded schedule versus
   the application's compiled size (LOC x bytes-per-LOC);

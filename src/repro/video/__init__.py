@@ -2,7 +2,7 @@
 
 The paper evaluates its controller on an STMicroelectronics MPEG-4
 encoder.  That code is proprietary; this package provides the
-documented substitute (DESIGN.md section 2):
+documented substitute:
 
 * :mod:`repro.video.pipeline` — the Fig. 2 macroblock precedence graph
   with the published Fig. 5 timing tables;

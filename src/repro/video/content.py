@@ -67,7 +67,7 @@ class FrameContent:
 
 
 def paper_benchmark_sequences() -> tuple[SequenceSpec, ...]:
-    """The 9-sequence, 582-frame benchmark layout (DESIGN.md 3.3).
+    """The 9-sequence, 582-frame benchmark layout.
 
     Sequences 3 and 6 (0-based) are the high-motion segments that
     produce the two frame-skip bursts for constant-quality encoders.

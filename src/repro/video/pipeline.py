@@ -16,8 +16,9 @@ cycles: ``Motion_Estimate`` is the only quality-dependent action
 pair.
 
 ``N = 1620`` (PAL SD, 720x576 / 16x16 macroblocks) is the default
-iteration count; DESIGN.md section 3.3 explains how this reproduces the
-paper's operating points against ``P = 320 Mcycles``.
+iteration count; with it the Fig. 5 tables land on the paper's
+operating points against ``P = 320 Mcycles`` (average load ~87 % of
+``P`` at q3, ~95 % at q4).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ FIXED_ACTION_TIMES: dict[str, tuple[float, float]] = {
 #: The paper's quality levels for the encoder.
 ENCODER_QUALITY_LEVELS = QualitySet.from_range(8)
 
-#: Default macroblocks per frame (PAL SD 720x576; see DESIGN.md 3.3).
+#: Default macroblocks per frame (PAL SD 720x576).
 DEFAULT_MACROBLOCKS = 1620
 
 

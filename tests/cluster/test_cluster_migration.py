@@ -6,11 +6,11 @@ from repro.cluster.migration import (
     LoadBalanceMigration,
     NoMigration,
     QueueRebalanceMigration,
-    make_migration,
 )
 from repro.cluster.shard import Shard
 from repro.errors import ConfigurationError
 from repro.experiments.configs import scaled_config
+from repro.serving import MIGRATIONS
 from repro.streams import AdmissionController, WeightedShareArbiter, qmin_demand
 from repro.streams.scenarios import StreamSpec
 
@@ -132,6 +132,6 @@ class TestLoadBalance:
 class TestFactory:
     def test_make_migration(self):
         for name in ("none", "queue-rebalance", "load-balance"):
-            assert make_migration(name).name == name
+            assert MIGRATIONS.create(name).name == name
         with pytest.raises(ConfigurationError):
-            make_migration("nope")
+            MIGRATIONS.create("nope")

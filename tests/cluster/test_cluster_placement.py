@@ -7,11 +7,11 @@ from repro.cluster.placement import (
     LeastLoadedPlacement,
     QualityAwarePlacement,
     RoundRobinPlacement,
-    make_placement,
 )
 from repro.cluster.shard import Shard
 from repro.errors import ConfigurationError
 from repro.experiments.configs import scaled_config
+from repro.serving import PLACEMENTS
 from repro.streams import AdmissionController, WeightedShareArbiter
 from repro.streams.scenarios import StreamSpec
 
@@ -105,6 +105,6 @@ class TestQualityAware:
 class TestFactory:
     def test_make_placement(self):
         for name in ("round-robin", "least-loaded", "best-fit", "quality-aware"):
-            assert make_placement(name).name == name
+            assert PLACEMENTS.create(name).name == name
         with pytest.raises(ConfigurationError):
-            make_placement("nope")
+            PLACEMENTS.create("nope")

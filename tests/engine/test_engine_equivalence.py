@@ -1,10 +1,10 @@
-"""Vectorized and parallel engines are bit-identical to scalar.
+"""The vectorized engine is bit-identical to scalar.
 
 The acceptance criterion of the execution-engine tentpole: for **every
 registered scenario generator** (fleet and cluster — the list below is
 asserted complete against the registry, so a new scenario cannot dodge
-the check), serving with ``engine="vectorized"`` and
-``engine="parallel"`` reproduces ``engine="scalar"`` exactly —
+the check), serving with ``engine="vectorized"`` reproduces
+``engine="scalar"`` exactly —
 
 * result summaries and per-stream series, to the bit,
 * the full structured event log, byte for byte as JSONL,
@@ -26,7 +26,7 @@ from repro.serving.registry import (
     scenario_topology,
 )
 
-ENGINES_UNDER_TEST = ("vectorized", "parallel")
+ENGINES_UNDER_TEST = ("vectorized",)
 
 #: Small kwargs per registered scenario (seconds, not minutes, per case).
 SCENARIO_KWARGS = {
@@ -202,20 +202,3 @@ def test_cluster_engine_bit_identical(name, engine):
         assert_values_equal(list(a.values()), list(b.values()))
     assert scalar_log == other_log
 
-
-def test_parallel_preserves_phase_timing():
-    """Phase timings keep flowing when shards step on the worker pool."""
-    from repro.obs import PerfObserver
-
-    perf = PerfObserver()
-    serve(spec_for("skewed-cluster", "parallel"), observers=[perf])
-    assert perf.total_seconds > 0.0
-    assert "step" in perf.seconds
-
-
-def test_parallel_on_fleet_degrades_to_vectorized():
-    """A fleet is one pool — ``parallel`` must run and match scalar."""
-    scalar, scalar_log = run_with_log("steady", "scalar")
-    par, par_log = run_with_log("steady", "parallel")
-    assert_results_identical(scalar, par)
-    assert scalar_log == par_log

@@ -177,7 +177,7 @@ class TestFrameTimeBank:
 
 class TestEngineValidation:
     def test_known_engines(self):
-        assert ENGINES == ("scalar", "vectorized", "parallel")
+        assert ENGINES == ("scalar", "vectorized")
         for name in ENGINES:
             assert validate_engine(name) == name
 
@@ -204,3 +204,22 @@ class TestEngineValidation:
         assert spec.to_dict()["engine"] == "vectorized"
         with pytest.raises(ConfigurationError, match="engine"):
             ServingSpec(scenario="steady", capacity=1e6, engine="simd")
+
+    def test_removed_parallel_engine_names_the_accepted_ones(self):
+        """``"parallel"`` is gone; the error lists what is accepted."""
+        from repro.cluster import ClusterRunner, RoundRobinPlacement
+        from repro.serving import ServingSpec
+        from repro.streams import FleetRunner, QualityFairArbiter
+
+        accepted = r"\('scalar', 'vectorized'\), got 'parallel'"
+        with pytest.raises(ConfigurationError, match=accepted):
+            ServingSpec(scenario="steady", capacity=1e6, engine="parallel")
+        with pytest.raises(ConfigurationError, match=accepted):
+            ServingSpec.from_dict({
+                "scenario": "skewed-cluster", "topology": "cluster",
+                "placement": "best-fit", "engine": "parallel",
+            })
+        with pytest.raises(ConfigurationError, match=accepted):
+            FleetRunner(1e6, QualityFairArbiter(), engine="parallel")
+        with pytest.raises(ConfigurationError, match=accepted):
+            ClusterRunner(RoundRobinPlacement(), engine="parallel")

@@ -31,7 +31,7 @@ class TestPaperConstants:
         assert PAPER.runtime_overhead == 0.015
 
     def test_design_point_calibration(self):
-        """DESIGN.md 3.3: q3 ~87 %, q4 ~95 %, q5 last fitting level."""
+        """The design-point calibration: q3 ~87 %, q4 ~95 %, q5 last fits."""
         assert PAPER.average_utilization(3) == pytest.approx(0.871, abs=0.005)
         assert PAPER.average_utilization(4) == pytest.approx(0.947, abs=0.005)
         assert PAPER.average_utilization(5) < 1.0

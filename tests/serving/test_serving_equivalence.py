@@ -18,10 +18,15 @@ from repro.cluster import (
     shard_outage,
     skewed_cluster,
 )
-from repro.cluster.migration import make_migration
-from repro.cluster.placement import make_placement
-from repro.serving import RoundObserver, ServingSpec, serve
-from repro.streams import AdmissionController, FleetRunner, make_arbiter
+from repro.serving import (
+    ARBITERS,
+    MIGRATIONS,
+    PLACEMENTS,
+    RoundObserver,
+    ServingSpec,
+    serve,
+)
+from repro.streams import AdmissionController, FleetRunner
 from repro.streams.scenarios import (
     flash_crowd,
     heterogeneous_mix,
@@ -112,7 +117,7 @@ def test_fleet_scenarios_equivalent(name, generator, kwargs):
     })
     served = serve(spec)
     direct = FleetRunner(
-        CAPACITY, make_arbiter("quality-fair"), AdmissionController(CAPACITY)
+        CAPACITY, ARBITERS.create("quality-fair"), AdmissionController(CAPACITY)
     ).run(generator(**kwargs))
     assert_fleet_identical(served, direct)
 
@@ -125,7 +130,7 @@ def test_fleet_without_admission_equivalent():
         "arbiter": "equal-share",
         "admission": "none",
     })
-    direct = FleetRunner(CAPACITY, make_arbiter("equal-share")).run(
+    direct = FleetRunner(CAPACITY, ARBITERS.create("equal-share")).run(
         steady_fleet(**kwargs)
     )
     assert_fleet_identical(served, direct)
@@ -141,7 +146,7 @@ def test_fleet_utilization_capacity_equivalent():
         "admission": "none",
     })
     direct = FleetRunner(
-        0.7 * scenario.total_demand(), make_arbiter("weighted-share")
+        0.7 * scenario.total_demand(), ARBITERS.create("weighted-share")
     ).run(scenario)
     assert_fleet_identical(served, direct)
     assert served.runner.capacity == 0.7 * scenario.total_demand()
@@ -162,8 +167,8 @@ def test_cluster_scenarios_equivalent(name, generator, kwargs):
     from repro.cluster import HeadroomBalancer
 
     direct = ClusterRunner(
-        placement=make_placement("best-fit"),
-        migration=make_migration("load-balance"),
+        placement=PLACEMENTS.create("best-fit"),
+        migration=MIGRATIONS.create("load-balance"),
         balancer=HeadroomBalancer(),
     ).run(generator(**kwargs))
     assert_cluster_identical(served, direct)
@@ -176,7 +181,7 @@ def test_cluster_plain_equivalent():
         "scenario": {"name": "skewed-cluster", "kwargs": kwargs},
         "placement": "round-robin",
     })
-    direct = ClusterRunner(placement=make_placement("round-robin")).run(
+    direct = ClusterRunner(placement=PLACEMENTS.create("round-robin")).run(
         skewed_cluster(**kwargs)
     )
     assert_cluster_identical(served, direct)

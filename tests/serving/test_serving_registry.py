@@ -1,11 +1,10 @@
-"""Policy registries: built-ins, plug-ins, and the legacy factory aliases."""
+"""Policy registries: built-ins and plug-ins."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.migration import make_migration
-from repro.cluster.placement import PlacementPolicy, make_placement
+from repro.cluster.placement import PlacementPolicy
 from repro.errors import ConfigurationError
 from repro.serving import (
     ADMISSIONS,
@@ -28,7 +27,6 @@ from repro.streams.arbiter import (
     CapacityArbiter,
     EqualShareArbiter,
     QualityFairArbiter,
-    make_arbiter,
 )
 from repro.streams.scenarios import steady_fleet
 
@@ -131,8 +129,7 @@ class TestThirdPartyPlugin:
                 "admission": "none",
             })
             assert result.served_count == 2
-            # the legacy factory alias sees the registration too
-            assert isinstance(make_arbiter("test-greedy"), GreedyArbiter)
+            assert isinstance(ARBITERS.create("test-greedy"), GreedyArbiter)
         finally:
             ARBITERS.unregister("test-greedy")
 
@@ -160,31 +157,3 @@ class TestThirdPartyPlugin:
                 "capacity": 1e6,
                 "arbiter": "not-registered",
             })
-
-
-class TestLegacyAliases:
-    """The pre-registry factories keep working, backed by the registries."""
-
-    def test_make_arbiter(self):
-        assert isinstance(make_arbiter("equal-share"), EqualShareArbiter)
-        arbiter = make_arbiter("quality-fair", pressure=3.0)
-        assert arbiter.pressure == 3.0
-        with pytest.raises(ConfigurationError):
-            make_arbiter("round-robin")  # a placement, not an arbiter
-
-    def test_make_placement_and_migration(self):
-        assert isinstance(make_placement("best-fit"), PlacementPolicy)
-        assert make_migration("none").plan([], 0) == []
-        with pytest.raises(ConfigurationError):
-            make_placement("nope")
-        with pytest.raises(ConfigurationError):
-            make_migration("nope")
-
-    def test_plugin_visible_through_alias(self):
-        register_placement("test-alias-placement", PlacementPolicy)
-        try:
-            assert isinstance(
-                make_placement("test-alias-placement"), PlacementPolicy
-            )
-        finally:
-            PLACEMENTS.unregister("test-alias-placement")

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.cluster import ClusterRunner, skewed_cluster
-from repro.cluster.migration import make_migration
-from repro.cluster.placement import make_placement
-from repro.streams import AdmissionController, FleetRunner, make_arbiter
+from repro.serving import ARBITERS, MIGRATIONS, PLACEMENTS
+from repro.streams import AdmissionController, FleetRunner
 from repro.streams.scenarios import flash_crowd, steady_fleet
 
 CAPACITY = 20e6
@@ -17,7 +16,7 @@ def flash_scenario():
 
 def fleet_runner():
     return FleetRunner(
-        CAPACITY, make_arbiter("quality-fair"), AdmissionController(CAPACITY)
+        CAPACITY, ARBITERS.create("quality-fair"), AdmissionController(CAPACITY)
     )
 
 
@@ -91,7 +90,7 @@ class TestFleetRunnerReset:
         assert steady.summary() == fresh.summary()
 
     def test_reset_without_admission_is_a_no_op(self):
-        runner = FleetRunner(CAPACITY, make_arbiter("equal-share"))
+        runner = FleetRunner(CAPACITY, ARBITERS.create("equal-share"))
         scenario = steady_fleet(2, frames=3)
         first = runner.run(scenario)
         runner.reset()
@@ -101,8 +100,8 @@ class TestFleetRunnerReset:
 class TestClusterRunnerReset:
     def build(self):
         return ClusterRunner(
-            placement=make_placement("round-robin"),
-            migration=make_migration("load-balance"),
+            placement=PLACEMENTS.create("round-robin"),
+            migration=MIGRATIONS.create("load-balance"),
         )
 
     def test_back_to_back_runs_bit_identical_to_fresh(self):

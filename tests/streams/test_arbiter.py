@@ -5,12 +5,12 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.serving import ARBITERS
 from repro.streams.arbiter import (
     CapacityRequest,
     EqualShareArbiter,
     QualityFairArbiter,
     WeightedShareArbiter,
-    make_arbiter,
 )
 
 CAPACITY = 100.0
@@ -143,10 +143,10 @@ class TestValidation:
             EqualShareArbiter().allocate([CapacityRequest("x", demand=1.0)], -1.0)
 
     def test_factory(self):
-        assert isinstance(make_arbiter("equal-share"), EqualShareArbiter)
-        assert isinstance(make_arbiter("weighted-share"), WeightedShareArbiter)
-        arbiter = make_arbiter("quality-fair", pressure=3.0)
+        assert isinstance(ARBITERS.create("equal-share"), EqualShareArbiter)
+        assert isinstance(ARBITERS.create("weighted-share"), WeightedShareArbiter)
+        arbiter = ARBITERS.create("quality-fair", pressure=3.0)
         assert isinstance(arbiter, QualityFairArbiter)
         assert arbiter.pressure == 3.0
         with pytest.raises(ConfigurationError):
-            make_arbiter("round-robin")
+            ARBITERS.create("round-robin")

@@ -78,7 +78,7 @@ class TestApplication:
         assert DEFAULT_MACROBLOCKS == (720 // 16) * (576 // 16)
 
     def test_paper_operating_points(self):
-        """The DESIGN.md 3.3 calibration: q3 ~87 %, q4 ~95 % of P."""
+        """The design-point calibration: q3 ~87 %, q4 ~95 % of P."""
         period = 320e6
         app = macroblock_application()
         assert app.average_cycle_load(3) / period == pytest.approx(0.87, abs=0.02)
