@@ -109,7 +109,7 @@ def gold_metrics(result, log):
     run *ending*, not the cluster failing arrivals, so acceptance
     counts rejects strictly before the horizon.
     """
-    per = result.raw.per_class()["gold"]
+    per = result.per_class()["gold"]
     rejects = sum(
         1
         for event in log.events
@@ -143,8 +143,8 @@ def test_bench_autoscale_diurnal(benchmark, results_dir):
 
     static_gold = gold_metrics(static, static_log)
     auto_gold = gold_metrics(auto, auto_log)
-    actions = [a.kind for a in auto.raw.scale_actions]
-    capacity_ratio = auto.raw.capacity_rounds / static.raw.capacity_rounds
+    actions = [a.kind for a in auto.scale_actions]
+    capacity_ratio = auto.capacity_rounds / static.capacity_rounds
     violations = len(static_inv.violations) + len(auto_inv.violations)
 
     rows = {
@@ -156,10 +156,10 @@ def test_bench_autoscale_diurnal(benchmark, results_dir):
         f"{WORKLOAD['base_rate']}->{WORKLOAD['peak']} streams/round:"
     )
     for name, (deployment, gold) in rows.items():
-        summary = deployment.raw.summary()
+        summary = deployment.summary()
         print(
             f"  {name:12s} served={summary['served']:3d} "
-            f"scale_actions={summary['scale_actions']} "
+            f"scale_actions={len(deployment.scale_actions)} "
             f"gold_acceptance={gold['acceptance']:.3f} "
             f"gold_quality={gold['quality_norm']:.3f}"
         )
@@ -170,7 +170,7 @@ def test_bench_autoscale_diurnal(benchmark, results_dir):
     )
 
     # the ISSUE acceptance bar, asserted here and gated in baselines
-    assert auto.raw.rounds >= MAX_ROUNDS
+    assert auto.rounds >= MAX_ROUNDS
     assert auto_gold["acceptance"] >= 0.99
     assert auto_gold["quality_norm"] >= 0.85
     assert capacity_ratio <= 0.70
@@ -183,16 +183,16 @@ def test_bench_autoscale_diurnal(benchmark, results_dir):
             "gold_acceptance,gold_quality_norm\n"
         )
         for name, (deployment, gold) in rows.items():
-            summary = deployment.raw.summary()
+            summary = deployment.summary()
             handle.write(
                 f"{name},{summary['rounds']},{summary['served']},"
-                f"{summary['scale_actions']},"
-                f"{deployment.raw.capacity_rounds:.6e},"
+                f"{len(deployment.scale_actions)},"
+                f"{deployment.capacity_rounds:.6e},"
                 f"{gold['acceptance']:.4f},{gold['quality_norm']:.4f}\n"
             )
 
     payload = {
-        "rounds": auto.raw.rounds,
+        "rounds": auto.rounds,
         "gold_acceptance": round(auto_gold["acceptance"], 4),
         "gold_quality_norm": round(auto_gold["quality_norm"], 4),
         "capacity_ratio": round(capacity_ratio, 4),

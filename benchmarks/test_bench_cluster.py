@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.report import cluster_compare_table
+from repro.analysis.report import serving_table
 from repro.serving import ServingSpec, serve
 
 from conftest import run_once, write_bench_trajectory
@@ -37,6 +37,22 @@ def cluster_spec(scenario_name, scenario_kwargs, placement, **overrides):
     }
     document.update(overrides)
     return ServingSpec.from_dict(document)
+
+
+def cluster_row(result):
+    """One result's headline numbers plus its cluster-tier metrics."""
+    return {
+        **result.summary(),
+        "placement": result.placement_name,
+        "migration": result.migration_name,
+        "balancer": result.balancer_name,
+        "shards": len(result.pools),
+        "migrations": result.migration_count,
+        "active_migrations": result.active_migration_count,
+        "capacity_rounds": round(result.capacity_rounds, 3),
+        "fairness_cross_shard": round(result.fairness_cross_shard(), 4),
+        "load_imbalance": round(result.load_imbalance(), 4),
+    }
 
 
 def test_bench_cluster_placement(benchmark, results_dir):
@@ -60,31 +76,32 @@ def test_bench_cluster_placement(benchmark, results_dir):
         return plain, migrating
 
     plain, migrating = run_once(benchmark, run)
-    rows = [r.raw for r in plain.values()] + [r.raw for r in migrating.values()]
-    scenario = plain["round-robin"].raw
+    rows = list(plain.values()) + list(migrating.values())
+    scenario = plain["round-robin"]
     print(
         f"\ncluster placement comparison, "
         f"{scenario.served_count + scenario.rejected_count} streams "
-        f"over {scenario.shard_count} skewed shards "
-        f"({scenario.total_capacity / 1e6:.0f} Mcyc/round total):"
+        f"over {len(scenario.pools)} skewed shards "
+        f"({sum(p.capacity for p in scenario.pools) / 1e6:.0f} "
+        f"Mcyc/round total):"
     )
-    print(cluster_compare_table(rows))
+    print(serving_table(rows))
 
     with open(results_dir / "cluster_placement.csv", "w") as handle:
         handle.write(
             "placement,migration,served,rejected,acceptance,migrations,"
-            "mean_quality,fairness_streams,fairness_cross_shard,imbalance\n"
+            "mean_quality,fairness_quality,fairness_cross_shard,imbalance\n"
         )
         for result in rows:
-            s = result.summary()
+            s = cluster_row(result)
             handle.write(
                 f"{s['placement']},{s['migration']},{s['served']},"
                 f"{s['rejected']},{s['acceptance_ratio']},{s['migrations']},"
-                f"{s['mean_quality']},{s['fairness_streams']},"
+                f"{s['mean_quality']},{s['fairness_quality']},"
                 f"{s['fairness_cross_shard']},{s['load_imbalance']}\n"
             )
     with open(results_dir / "cluster_placement.json", "w") as handle:
-        json.dump([r.summary() for r in rows], handle, indent=2)
+        json.dump([cluster_row(r) for r in rows], handle, indent=2)
 
     blind = plain["round-robin"]
     aware = plain["best-fit"]
@@ -93,8 +110,8 @@ def test_bench_cluster_placement(benchmark, results_dir):
         "best_fit_acceptance": round(aware.acceptance_ratio, 4),
         "best_fit_quality": round(aware.mean_quality(), 4),
         "migration_fairness_gain": round(
-            migrating["round-robin"].raw.fairness_cross_shard()
-            - plain["round-robin"].raw.fairness_cross_shard(),
+            migrating["round-robin"].fairness_cross_shard()
+            - plain["round-robin"].fairness_cross_shard(),
             4,
         ),
     })
@@ -102,8 +119,8 @@ def test_bench_cluster_placement(benchmark, results_dir):
     # streams blind rotation rejects
     assert aware.acceptance_ratio > blind.acceptance_ratio + 0.1
     # acceptance criterion 2: migration recovers cross-shard fairness
-    frozen = plain["round-robin"].raw
-    mobile = migrating["round-robin"].raw
+    frozen = plain["round-robin"]
+    mobile = migrating["round-robin"]
     assert mobile.fairness_cross_shard() > frozen.fairness_cross_shard() + 0.1
     # placement intelligence never loses streams
     assert aware.served_count >= blind.served_count
@@ -129,15 +146,15 @@ def test_bench_cluster_outage_and_lending(benchmark, results_dir):
         }
 
     results = run_once(benchmark, run)
-    total_capacity = results["frozen"].raw.total_capacity
+    total_capacity = sum(p.capacity for p in results["frozen"].pools)
     print(
         f"\nshard outage at round 4 "
         f"({total_capacity / 1e6:.0f} Mcyc/round, 3 shards):"
     )
-    print(cluster_compare_table([r.raw for r in results.values()]))
+    print(serving_table(results.values()))
     with open(results_dir / "cluster_outage.json", "w") as handle:
         json.dump(
-            {name: r.raw.summary() for name, r in results.items()},
+            {name: cluster_row(r) for name, r in results.items()},
             handle,
             indent=2,
         )
@@ -146,6 +163,6 @@ def test_bench_cluster_outage_and_lending(benchmark, results_dir):
     migrating = results["migrating"]
     # migration rescues the degraded shard's streams
     assert migrating.total_skips() < frozen.total_skips()
-    assert migrating.raw.fairness_streams() > frozen.raw.fairness_streams()
+    assert migrating.fairness_quality() > frozen.fairness_quality()
     # everything still served either way (admission was sized pre-outage)
     assert frozen.served_count == migrating.served_count == 9

@@ -17,7 +17,7 @@ check that the declarative surface reproduces the hand-wired numbers.
 
 from __future__ import annotations
 
-from repro.analysis.report import fleet_table
+from repro.analysis.report import serving_table
 from repro.serving import ServingSpec, build_scenario, serve
 
 from conftest import run_once
@@ -55,7 +55,7 @@ def test_bench_fleet_scaling(benchmark, results_dir):
     with open(results_dir / "fleet_scaling.csv", "w") as handle:
         handle.write("streams,mean_quality,mean_psnr,skips,misses,fairness_q\n")
         for count, result in results.items():
-            summary = result.raw.summary()
+            summary = result.summary()
             print(
                 f"  n={count:>3}: q={summary['mean_quality']:.2f} "
                 f"psnr={summary['mean_psnr']:.2f} skips={summary['skips']} "
@@ -92,14 +92,14 @@ def test_bench_arbiter_fairness(benchmark, results_dir):
 
     results = run_once(benchmark, run)
     print("\narbiter comparison, 24-stream heterogeneous mix, 55% capacity:")
-    print(fleet_table([r.raw for r in results.values()]))
+    print(serving_table(results.values()))
     with open(results_dir / "fleet_arbiters.csv", "w") as handle:
         handle.write("arbiter,mean_quality,mean_psnr,fairness_q,fairness_psnr\n")
         for name, result in results.items():
             handle.write(
                 f"{name},{result.mean_quality():.4f},{result.mean_psnr():.4f},"
                 f"{result.fairness_quality():.4f},"
-                f"{result.raw.fairness_psnr():.4f}\n"
+                f"{result.fairness_psnr():.4f}\n"
             )
 
     equal = results["equal-share"]
@@ -132,13 +132,14 @@ def test_bench_churn_admission(benchmark, results_dir):
     result = run_once(benchmark, run)
     offered = len(build_scenario(spec))
     admission = result.runner.admission
-    summary = result.raw.summary()
+    summary = result.summary()
+    peak = result.pools[0].peak_concurrency
     print("\npoisson churn through admission control:")
     print(
         f"  offered={offered} served={summary['served']} "
         f"rejected={summary['rejected']} queued_total={admission.queued_count} "
         f"accept={summary['acceptance_ratio']:.3f} "
-        f"peak={summary['peak_concurrency']} rounds={summary['rounds']}"
+        f"peak={peak} rounds={summary['rounds']}"
     )
     print(
         f"  q={summary['mean_quality']:.2f} psnr={summary['mean_psnr']:.2f} "
@@ -148,7 +149,7 @@ def test_bench_churn_admission(benchmark, results_dir):
         handle.write("offered,served,rejected,acceptance,peak,rounds,quality\n")
         handle.write(
             f"{offered},{summary['served']},{summary['rejected']},"
-            f"{summary['acceptance_ratio']},{summary['peak_concurrency']},"
+            f"{summary['acceptance_ratio']},{peak},"
             f"{summary['rounds']},{summary['mean_quality']}\n"
         )
 

@@ -95,8 +95,7 @@ def main(argv=None) -> int:
 
     result = repro.serve(always_on_spec(args.rounds, args.enforce))
     telemetry, invariants = result.observers
-    cluster = result.raw
-    summary = cluster.summary()
+    summary = result.summary()
 
     print(
         f"== always-on diurnal cluster, {summary['rounds']} rounds, "
@@ -105,14 +104,14 @@ def main(argv=None) -> int:
     print(
         f"served {summary['served']} sessions "
         f"(rejected {summary['rejected']}), "
-        f"{summary['scale_actions']} scale actions, "
-        f"final fleet {len(cluster.shard_demand_cycles)} shards"
+        f"{len(result.scale_actions)} scale actions, "
+        f"{len(result.pools)} shards over the run"
     )
 
     print("\n== autoscaler action log ==")
-    if not cluster.scale_actions:
+    if not result.scale_actions:
         print("(the fleet never needed to change size)")
-    for action in cluster.scale_actions:
+    for action in result.scale_actions:
         target = ", ".join(action.shards) or ", ".join(
             f"{c / 1e6:.0f}M" for c in action.capacities
         )
@@ -122,7 +121,7 @@ def main(argv=None) -> int:
     print(telemetry_table(telemetry.windows))
 
     print("\n== per-class outcome ==")
-    for name, row in sorted(cluster.per_class().items()):
+    for name, row in sorted(result.per_class().items()):
         print(
             f"  {name:8s} served={row['served']:3d} "
             f"acceptance={row['acceptance_ratio']:.3f} "

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 
 import repro
-from repro.analysis.report import cluster_compare_table, cluster_table
+from repro.analysis.report import pool_table, serving_table
 from repro.serving import ServingSpec
 
 PLACEMENTS = ("round-robin", "least-loaded", "best-fit", "quality-aware")
@@ -35,15 +35,13 @@ def placement_demo(streams: int) -> None:
         name: repro.serve(_cluster_spec(scenario, placement=name))
         for name in PLACEMENTS
     }
-    first = next(iter(results.values())).raw
-    caps = ", ".join(
-        f"{r.capacity / 1e6:.0f}M" for r in first.shard_results
-    )
+    first = next(iter(results.values()))
+    caps = ", ".join(f"{pool.capacity / 1e6:.0f}M" for pool in first.pools)
     print(
         f"== skewed cluster: {streams} streams over "
         f"shards [{caps}] cyc/round =="
     )
-    print(cluster_compare_table([r.raw for r in results.values()]))
+    print(serving_table(results.values()))
     blind = results["round-robin"]
     aware = results["best-fit"]
     print(
@@ -64,13 +62,13 @@ def migration_demo(streams: int) -> None:
     lending = repro.serve(
         _cluster_spec(scenario, placement="round-robin", balancer="headroom")
     )
-    print(cluster_compare_table([frozen.raw, mobile.raw, lending.raw]))
+    print(serving_table([frozen, mobile, lending]))
     print(
         f"migration lifts cross-shard fairness "
-        f"{frozen.raw.fairness_cross_shard():.3f} -> "
-        f"{mobile.raw.fairness_cross_shard():.3f} "
-        f"({mobile.raw.migration_count} moves); headroom lending lent "
-        f"{lending.raw.lent_cycles / 1e6:.0f} Mcyc at zero moves\n"
+        f"{frozen.fairness_cross_shard():.3f} -> "
+        f"{mobile.fairness_cross_shard():.3f} "
+        f"({mobile.migration_count} moves); headroom lending lent "
+        f"{lending.lent_cycles / 1e6:.0f} Mcyc at zero moves\n"
     )
 
 
@@ -86,9 +84,9 @@ def outage_demo() -> None:
             migration="load-balance",
         )
     )
-    print(cluster_table(result.raw))
+    print(pool_table(result))
     print(
-        f"{result.raw.active_migration_count} sessions moved off the "
+        f"{result.active_migration_count} sessions moved off the "
         f"degraded shard; {result.total_skips()} frames skipped "
         f"cluster-wide"
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 
 import repro
-from repro.analysis.report import fleet_table
+from repro.analysis.report import serving_table
 from repro.serving import CountingObserver, ServingSpec
 
 ARBITERS = ("equal-share", "weighted-share", "quality-fair")
@@ -43,7 +43,7 @@ def arbitration_demo(streams: int) -> None:
         f"== {streams}-stream heterogeneous mix, "
         f"{capacity / 1e6:.0f} Mcyc/round shared (60% of demand) =="
     )
-    print(fleet_table([r.raw for r in results.values()]))
+    print(serving_table(results.values()))
     equal = results["equal-share"].fairness_quality()
     fair = results["quality-fair"].fairness_quality()
     print(
@@ -78,7 +78,7 @@ def admission_demo() -> None:
         f"offered={offered} served={summary['served']} "
         f"rejected={summary['rejected']} "
         f"queued={result.runner.admission.queued_count} "
-        f"peak concurrency={result.raw.peak_concurrency}"
+        f"peak concurrency={result.pools[0].peak_concurrency}"
     )
     for outcome in result.outcomes:
         delay = outcome.admitted_round - outcome.spec.arrival_round

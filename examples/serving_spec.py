@@ -78,8 +78,8 @@ def main() -> None:
     )
     print(
         f"cluster spec: accept={cluster.acceptance_ratio:.3f} "
-        f"moves={cluster.raw.migration_count} "
-        f"lent={cluster.raw.lent_cycles / 1e6:.0f} Mcyc"
+        f"moves={cluster.migration_count} "
+        f"lent={cluster.lent_cycles / 1e6:.0f} Mcyc"
     )
     print(
         f"observer saw: {observer.counts()} "

@@ -98,7 +98,7 @@ def serve(spec, observers=()):
 
     The one serving entry point: ``spec`` is a
     :class:`~repro.serving.spec.ServingSpec`, its dict form, or a JSON
-    string; returns a :class:`~repro.serving.result.ServingResult`.
+    string; returns a :class:`~repro.streams.fleet.ServingResult`.
     Convenience re-export of :func:`repro.serving.serve` (imported
     lazily — the serving layers load on first use).
     """

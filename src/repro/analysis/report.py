@@ -74,150 +74,103 @@ def describe_runs(runs: Mapping[str, RunResult]) -> str:
     return comparison_table(list(runs.values()))
 
 
-def fleet_table(results: Sequence) -> str:
-    """Side-by-side serving metrics for several fleet runs.
+def serving_table(results: Sequence) -> str:
+    """Side-by-side serving metrics for several runs, fleet or cluster.
 
-    ``results`` are :class:`repro.streams.fleet.FleetResult` objects
-    (typically one per arbiter over the same scenario).
+    ``results`` are :class:`~repro.streams.fleet.ServingResult` objects
+    from either runner or from ``serve()``.  The policy columns come
+    from the names each result stores, so hand-wired and served runs
+    render the same; a fleet shows its pool's arbiter and ``none`` for
+    the cluster policies.
     """
     columns = (
+        ("scenario", "scenario", "s"),
+        ("topology", "topology", "s"),
         ("arbiter", "arbiter", "s"),
-        ("served", "served", "d"),
-        ("rej", "rejected", "d"),
-        ("accept", "acceptance_ratio", ".3f"),
-        ("peak", "peak_concurrency", "d"),
-        ("frames", "frames", "d"),
-        ("skips", "skips", "d"),
-        ("misses", "deadline_misses", "d"),
-        ("q", "mean_quality", ".2f"),
-        ("PSNR", "mean_psnr", ".2f"),
-        ("fair(q)", "fairness_quality", ".3f"),
-        ("fair(PSNR)", "fairness_psnr", ".3f"),
-    )
-    summaries = [result.summary() for result in results]
-    rows = [[_format(summary[key], spec) for _, key, spec in columns]
-            for summary in summaries]
-    headers = [name for name, _, _ in columns]
-    return _aligned_table(headers, rows)
-
-
-def cluster_table(result) -> str:
-    """Per-shard breakdown of one cluster run plus an aggregate row.
-
-    ``result`` is a :class:`repro.cluster.runner.ClusterResult`.
-    """
-    headers = [
-        "shard", "cap(M)", "served", "rej", "peak", "frames", "skips",
-        "q", "fair(q)",
-    ]
-    rows = []
-    for i, shard in enumerate(result.shard_results):
-        rows.append([
-            f"shard-{i}",
-            f"{shard.capacity / 1e6:.1f}",
-            str(shard.served_count),
-            str(shard.rejected_count),
-            str(shard.peak_concurrency),
-            str(shard.total_frames()),
-            str(shard.total_skips()),
-            _format(shard.mean_quality(), ".2f"),
-            _format(shard.fairness_quality(), ".3f"),
-        ])
-    rows.append([
-        "cluster",
-        f"{result.total_capacity / 1e6:.1f}",
-        str(result.served_count),
-        str(result.rejected_count),
-        "-",
-        str(result.total_frames()),
-        str(result.total_skips()),
-        _format(result.mean_quality(), ".2f"),
-        _format(result.fairness_streams(), ".3f"),
-    ])
-    return _aligned_table(headers, rows)
-
-
-def cluster_compare_table(results: Sequence) -> str:
-    """Side-by-side cluster metrics for several runs (one per policy).
-
-    ``results`` are :class:`repro.cluster.runner.ClusterResult` objects
-    (typically one per placement/migration combination over the same
-    scenario).
-    """
-    columns = (
         ("placement", "placement", "s"),
         ("migration", "migration", "s"),
         ("balancer", "balancer", "s"),
         ("served", "served", "d"),
         ("rej", "rejected", "d"),
         ("accept", "acceptance_ratio", ".3f"),
-        ("moves", "migrations", "d"),
+        ("frames", "frames", "d"),
         ("skips", "skips", "d"),
+        ("misses", "deadline_misses", "d"),
+        ("moves", "migrations", "d"),
         ("q", "mean_quality", ".2f"),
-        ("fair(strm)", "fairness_streams", ".3f"),
-        ("fair(shard)", "fairness_cross_shard", ".3f"),
+        ("PSNR", "mean_psnr", ".2f"),
+        ("fair(q)", "fairness_quality", ".3f"),
+        ("fair(pool)", "fairness_cross_shard", ".3f"),
         ("imbalance", "load_imbalance", ".2f"),
     )
-    summaries = [result.summary() for result in results]
-    rows = [[_format(summary[key], spec) for _, key, spec in columns]
-            for summary in summaries]
+    rows = []
+    for result in results:
+        summary = result.summary()
+        summary.update(
+            arbiter="/".join(
+                dict.fromkeys(pool.arbiter_name for pool in result.pools)
+            ),
+            placement=result.placement_name,
+            migration=result.migration_name,
+            balancer=result.balancer_name,
+            migrations=result.migration_count,
+            fairness_cross_shard=result.fairness_cross_shard(),
+            load_imbalance=result.load_imbalance(),
+        )
+        rows.append([_format(summary[key], spec) for _, key, spec in columns])
     headers = [name for name, _, _ in columns]
     return _aligned_table(headers, rows)
 
 
-def serving_table(results: Sequence) -> str:
-    """Side-by-side topology-independent metrics for serving runs.
+def pool_table(result) -> str:
+    """Per-pool breakdown of one serving run plus an aggregate row.
 
-    ``results`` are :class:`repro.serving.result.ServingResult` objects
-    (fleet and cluster runs mix freely — the unified summary keys are
-    what make one table possible).  The optional ``label`` column uses
-    each result's spec (arbiter or placement name) when available.
+    Each row is labelled with its pool's shard id (``-`` for a fleet's
+    single pool), so autoscaled ``scale-N`` pools and retired pools
+    keep their real names.
     """
-    columns = (
-        ("scenario", "scenario", "s"),
-        ("topology", "topology", "s"),
-        ("policy", "policy", "s"),
-        ("served", "served", "d"),
-        ("rej", "rejected", "d"),
-        ("accept", "acceptance_ratio", ".3f"),
-        ("frames", "frames", "d"),
-        ("skips", "skips", "d"),
-        ("misses", "deadline_misses", "d"),
-        ("q", "mean_quality", ".2f"),
-        ("PSNR", "mean_psnr", ".2f"),
-        ("fair(q)", "fairness_quality", ".3f"),
-    )
-    summaries = []
-    for result in results:
-        summary = result.summary()
-        spec = result.spec
-        if spec is None:
-            summary["policy"] = "-"
-        elif spec.topology == "fleet":
-            summary["policy"] = spec.arbiter.name
-        else:
-            summary["policy"] = spec.placement.name
-        summaries.append(summary)
-    rows = [[_format(summary[key], spec) for _, key, spec in columns]
-            for summary in summaries]
-    headers = [name for name, _, _ in columns]
+    headers = [
+        "pool", "cap(M)", "served", "rej", "peak", "frames", "skips",
+        "q", "fair(q)",
+    ]
+    rows = [
+        [
+            entry["shard"] or "-",
+            f"{entry['capacity'] / 1e6:.1f}",
+            str(entry["served"]),
+            str(entry["rejected"]),
+            str(entry["peak_concurrency"]),
+            str(entry["frames"]),
+            str(entry["skips"]),
+            _format(entry["mean_quality"], ".2f"),
+            _format(entry["fairness_quality"], ".3f"),
+        ]
+        for entry in result.per_pool()
+    ]
+    rows.append([
+        "all",
+        f"{sum(pool.capacity for pool in result.pools) / 1e6:.1f}",
+        str(result.served_count),
+        str(result.rejected_count),
+        "-",
+        str(result.total_frames()),
+        str(result.total_skips()),
+        _format(result.mean_quality(), ".2f"),
+        _format(result.fairness_quality(), ".3f"),
+    ])
     return _aligned_table(headers, rows)
 
 
 def sla_table(result, classes=None) -> str:
     """Per-service-class breakdown of one serving run.
 
-    ``result`` is anything with a ``per_class()`` breakdown — a
-    :class:`~repro.serving.result.ServingResult`,
-    :class:`~repro.streams.fleet.FleetResult`, or
-    :class:`~repro.cluster.runner.ClusterResult`.  ``classes`` (a
-    mapping of name to :class:`~repro.sla.classes.ServiceClass`, e.g.
-    from :func:`repro.sla.resolve_classes`) adds each class's weight
+    ``result`` is a :class:`~repro.streams.fleet.ServingResult` of
+    either topology.  ``classes`` (a mapping of name to
+    :class:`~repro.sla.classes.ServiceClass`, e.g. from
+    :func:`repro.sla.resolve_classes`) adds each class's weight
     and normalized target columns; a final row aggregates the run and
     reports the cross-class Jain fairness.
     """
-    from repro.streams.fleet import cross_class_fairness
-
     headers = [
         "class", "weight", "target", "served", "rej", "preempt",
         "accept", "q", "fair(q)", "reneg",
@@ -246,7 +199,7 @@ def sla_table(result, classes=None) -> str:
         str(summary["preempted"]),
         f"{summary['acceptance_ratio']:.3f}",
         _format(summary["mean_quality"], ".2f"),
-        _format(cross_class_fairness(breakdown), ".3f"),
+        _format(result.fairness_cross_class(), ".3f"),
         str(summary["renegotiations"]),
     ])
     return _aligned_table(headers, rows)
@@ -461,20 +414,25 @@ def incident_table(incidents) -> str:
     return _aligned_table(headers, rows)
 
 
-def fleet_stream_table(result) -> str:
-    """Per-stream breakdown of one fleet run (label, rounds, quality)."""
+def stream_table(result) -> str:
+    """Per-stream breakdown of one serving run, fleet or cluster
+    (label, pool, rounds, quality)."""
     rows = []
-    for outcome in result.streams:
-        run = outcome.result
-        rows.append([
-            outcome.spec.name,
-            outcome.admitted_round,
-            outcome.finished_round,
-            len(run),
-            run.skip_count,
-            f"{run.mean_quality():.2f}",
-            f"{run.mean_psnr():.2f}",
-        ])
+    for pool in result.pools:
+        for outcome in pool.outcomes:
+            run = outcome.result
+            rows.append([
+                outcome.spec.name,
+                pool.shard_id or "-",
+                outcome.admitted_round,
+                outcome.finished_round,
+                len(run),
+                run.skip_count,
+                f"{run.mean_quality():.2f}",
+                f"{run.mean_psnr():.2f}",
+            ])
     return markdown_table(
-        ["stream", "admitted", "finished", "frames", "skips", "q", "PSNR"], rows
+        ["stream", "pool", "admitted", "finished", "frames", "skips", "q",
+         "PSNR"],
+        rows,
     )

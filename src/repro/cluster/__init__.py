@@ -15,10 +15,10 @@ a :class:`ClusterRunner`:
   shards' spare cycles to overloaded ones each round.
 
 Everything reuses :class:`~repro.streams.session.StreamSession` and
-:class:`~repro.streams.scenarios.Scenario` unchanged; per-shard history
-aggregates into a :class:`ClusterResult` (global acceptance ratio,
-per-stream and cross-shard Jain fairness, load imbalance, migration
-counts).
+:class:`~repro.streams.scenarios.Scenario` unchanged; a run returns
+the same :class:`~repro.streams.fleet.ServingResult` a fleet run does,
+one pool record per shard (global acceptance ratio, per-stream and
+cross-shard Jain fairness, load imbalance, migration counts).
 
 Entry points: build a workload with :mod:`repro.cluster.scenarios`,
 pick a placement (and optionally migration / balancing), hand both to
@@ -41,11 +41,9 @@ from repro.cluster.placement import (
     RoundRobinPlacement,
 )
 from repro.cluster.runner import (
-    ClusterResult,
     ClusterRunner,
     HeadroomBalancer,
     build_shards,
-    compare_placements,
 )
 from repro.cluster.scenarios import (
     CapacityEvent,
@@ -60,7 +58,6 @@ from repro.cluster.shard import Shard
 __all__ = [
     "BestFitPlacement",
     "CapacityEvent",
-    "ClusterResult",
     "ClusterRunner",
     "ClusterScenario",
     "HeadroomBalancer",
@@ -76,7 +73,6 @@ __all__ = [
     "RoundRobinPlacement",
     "Shard",
     "build_shards",
-    "compare_placements",
     "flash_crowd_split",
     "shard_outage",
     "skewed_churn",

@@ -19,21 +19,19 @@ migration and headroom rebalancing.
 6. every shard arbitrates its (effective) budget and steps its
    sessions one scheduling round.
 
-The run is deterministic for a fixed scenario; the result aggregates
-per-shard :class:`~repro.streams.fleet.FleetResult`s into cluster
-metrics — global acceptance ratio, per-stream and cross-shard Jain
-fairness, load imbalance, migration counts.
+The run is deterministic for a fixed scenario; it returns the same
+:class:`~repro.streams.fleet.ServingResult` a fleet run does, with one
+pool record per shard (global acceptance ratio, per-stream and
+cross-shard Jain fairness, load imbalance and migration counts are
+its accessors).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from time import perf_counter
 
-import numpy as np
-
-from repro.analysis.metrics import jain_fairness_index, load_imbalance
 from repro.cluster.migration import MigrationMove, MigrationPolicy
 from repro.cluster.placement import PlacementPolicy
 from repro.cluster.scenarios import ClusterScenario
@@ -42,11 +40,7 @@ from repro.engine import validate_engine
 from repro.errors import ConfigurationError
 from repro.streams.admission import AdmissionController, qmin_demand
 from repro.streams.arbiter import CapacityArbiter
-from repro.streams.fleet import (
-    FleetResult,
-    class_breakdown,
-    cross_class_fairness,
-)
+from repro.streams.fleet import ServingResult
 
 
 class HeadroomBalancer:
@@ -101,139 +95,6 @@ class HeadroomBalancer:
                 effective[shard_id] += leftover * spare / total_spare
         self.lent_cycles += granted
         return effective
-
-
-@dataclass
-class ClusterResult:
-    """Everything a cluster run produced, per shard and aggregated."""
-
-    scenario_name: str
-    placement_name: str
-    migration_name: str
-    total_capacity: float
-    balancer_name: str = "none"
-    rounds: int = 0
-    shard_results: list[FleetResult] = field(default_factory=list)
-    migrations: list[MigrationMove] = field(default_factory=list)
-    shard_demand_cycles: list[float] = field(default_factory=list)
-    lent_cycles: float = 0.0
-    #: provisioned capacity summed over rounds (cycles x rounds) — what
-    #: a statically provisioned cluster "pays for"; the autoscaler
-    #: benchmarks compare this across provisioning strategies
-    capacity_rounds: float = 0.0
-    #: scale actions the autoscaler applied (empty without one)
-    scale_actions: list = field(default_factory=list)
-
-    # ------------------------------------------------------------------
-    # aggregates
-    # ------------------------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shard_results)
-
-    @property
-    def served_count(self) -> int:
-        return sum(r.served_count for r in self.shard_results)
-
-    @property
-    def rejected_count(self) -> int:
-        return sum(r.rejected_count for r in self.shard_results)
-
-    @property
-    def acceptance_ratio(self) -> float:
-        offered = self.served_count + self.rejected_count
-        return self.served_count / offered if offered else 1.0
-
-    @property
-    def preempted_count(self) -> int:
-        return sum(r.preempted_count for r in self.shard_results)
-
-    def total_renegotiations(self) -> int:
-        return sum(r.total_renegotiations() for r in self.shard_results)
-
-    def per_class(self) -> dict[str, dict]:
-        """Per-service-class metrics across every shard (see
-        :func:`repro.streams.fleet.class_breakdown`)."""
-        return class_breakdown(
-            [o for r in self.shard_results for o in r.streams],
-            [s for r in self.shard_results for s in r.rejected],
-            [s for r in self.shard_results for s in r.preempted],
-        )
-
-    def fairness_cross_class(self) -> float:
-        """Jain index over per-class mean quality, cluster-wide."""
-        return cross_class_fairness(self.per_class())
-
-    @property
-    def migration_count(self) -> int:
-        return len(self.migrations)
-
-    @property
-    def active_migration_count(self) -> int:
-        return sum(1 for m in self.migrations if m.kind == "active")
-
-    def per_stream_quality(self) -> list[float]:
-        values: list[float] = []
-        for result in self.shard_results:
-            values.extend(result.per_stream_quality())
-        return values
-
-    def per_shard_quality(self) -> list[float]:
-        """Mean served quality per shard (nan for idle shards)."""
-        return [r.mean_quality() for r in self.shard_results]
-
-    def fairness_streams(self) -> float:
-        """Jain index over every served stream's mean quality."""
-        return jain_fairness_index(self.per_stream_quality())
-
-    def fairness_cross_shard(self) -> float:
-        """Jain index over per-shard mean quality — the cluster-level
-        quality-fair-delivery criterion (idle shards excluded: an
-        unused pool is a placement problem, measured by imbalance)."""
-        values = [v for v in self.per_shard_quality() if not math.isnan(v)]
-        return jain_fairness_index(values)
-
-    def load_imbalance(self) -> float:
-        """Peak-to-mean realized shard load (1.0 = perfectly balanced)."""
-        return load_imbalance(self.shard_demand_cycles)
-
-    def mean_quality(self) -> float:
-        values = [v for v in self.per_stream_quality() if np.isfinite(v)]
-        return float(np.mean(values)) if values else math.nan
-
-    def total_skips(self) -> int:
-        return sum(r.total_skips() for r in self.shard_results)
-
-    def total_frames(self) -> int:
-        return sum(r.total_frames() for r in self.shard_results)
-
-    def summary(self) -> dict:
-        """Headline numbers for reports and assertions."""
-        return {
-            "scenario": self.scenario_name,
-            "placement": self.placement_name,
-            "migration": self.migration_name,
-            "balancer": self.balancer_name,
-            "shards": self.shard_count,
-            "capacity": self.total_capacity,
-            "rounds": self.rounds,
-            "served": self.served_count,
-            "rejected": self.rejected_count,
-            "preempted": self.preempted_count,
-            "renegotiations": self.total_renegotiations(),
-            "acceptance_ratio": round(self.acceptance_ratio, 4),
-            "migrations": self.migration_count,
-            "active_migrations": self.active_migration_count,
-            "scale_actions": len(self.scale_actions),
-            "capacity_rounds": round(self.capacity_rounds, 3),
-            "frames": self.total_frames(),
-            "skips": self.total_skips(),
-            "mean_quality": round(self.mean_quality(), 3),
-            "fairness_streams": round(self.fairness_streams(), 4),
-            "fairness_cross_shard": round(self.fairness_cross_shard(), 4),
-            "load_imbalance": round(self.load_imbalance(), 4),
-        }
 
 
 def build_shards(
@@ -368,7 +229,7 @@ class ClusterRunner:
         self,
         scenario: ClusterScenario,
         shards: list[Shard] | None = None,
-    ) -> ClusterResult:
+    ) -> ServingResult:
         """Serve the whole cluster scenario to completion.
 
         ``shards`` overrides the default :func:`build_shards` pools
@@ -409,8 +270,10 @@ class ClusterRunner:
                     observer.on_capacity(
                         shard.capacity, 0, shard_id=shard.shard_id
                     )
-        result = ClusterResult(
+        result = ServingResult(
             scenario_name=scenario.name,
+            rounds=0,
+            pools=[],
             placement_name=getattr(
                 self.placement, "name", type(self.placement).__name__
             ),
@@ -419,7 +282,6 @@ class ClusterRunner:
                 if self.migration is not None
                 else "none"
             ),
-            total_capacity=scenario.total_capacity,
             balancer_name=(
                 "headroom" if self.balancer is not None else "none"
             ),
@@ -542,12 +404,7 @@ class ClusterRunner:
                     )
             round_index += 1
         result.rounds = round_index
-        result.shard_results = [
-            s.result(scenario.name, round_index) for s in shards + retired
-        ]
-        result.shard_demand_cycles = [
-            s.demand_cycles for s in shards + retired
-        ]
+        result.pools = [s.result() for s in shards + retired]
         if self.balancer is not None:
             result.lent_cycles = self.balancer.lent_cycles
         return result
@@ -756,28 +613,3 @@ class ClusterRunner:
         session, spec, admitted = source.detach(move.stream_id)
         dest.attach(session, spec, admitted)
         return True
-
-
-def compare_placements(
-    scenario: ClusterScenario,
-    placements: list[PlacementPolicy],
-    migration_factory=None,
-    balancer_factory=None,
-    **runner_kwargs,
-) -> dict[str, ClusterResult]:
-    """Run one cluster scenario under several placement policies.
-
-    Fresh shards, migration and balancer per run so policies never
-    share state; the bench and the acceptance tests use this to put
-    round-robin and feasibility-aware placement side by side.
-    """
-    results: dict[str, ClusterResult] = {}
-    for placement in placements:
-        runner = ClusterRunner(
-            placement=placement,
-            migration=migration_factory() if migration_factory else None,
-            balancer=balancer_factory() if balancer_factory else None,
-            **runner_kwargs,
-        )
-        results[placement.name] = runner.run(scenario)
-    return results

@@ -16,10 +16,10 @@ is the one-shard case, stepping a single shard with no shard id:
   migration policies are built on;
 * ``set_capacity`` applies outage / capacity-drop events mid-run.
 
-Per-shard serving history accumulates into the same
-:class:`~repro.streams.fleet.FleetResult` the single-pool layer uses,
-so every fleet metric (fairness, skips, acceptance) is available
-per shard and the cluster result is a straight aggregation.
+Per-shard serving history ends up in a plain
+:class:`~repro.streams.fleet.PoolRecord`; the run's one
+:class:`~repro.streams.fleet.ServingResult` computes every metric
+(fairness, skips, acceptance) over those records.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.streams.admission import (
 )
 from repro.streams.arbiter import CapacityArbiter, CapacityRequest
 from repro.streams.fleet import (
-    FleetResult,
+    PoolRecord,
     StreamOutcome,
     _normalize_classes,
     session_sla_kwargs,
@@ -500,18 +500,17 @@ class Shard:
     # results
     # ------------------------------------------------------------------
 
-    def result(self, scenario_name: str, rounds: int) -> FleetResult:
-        """This shard's serving history as a standard FleetResult."""
-        result = FleetResult(
-            scenario_name=scenario_name,
+    def result(self) -> PoolRecord:
+        """This shard's serving history as a plain per-pool record."""
+        return PoolRecord(
+            shard_id=self.shard_id,
             arbiter_name=getattr(
                 self.arbiter, "name", type(self.arbiter).__name__
             ),
             capacity=self.nominal_capacity,
-            rounds=rounds,
+            peak_concurrency=self.peak_concurrency,
+            demand_cycles=self.demand_cycles,
+            outcomes=tuple(self.outcomes),
+            rejected=tuple(self.rejected),
+            preempted=tuple(self.preempted),
         )
-        result.streams = list(self.outcomes)
-        result.rejected = list(self.rejected)
-        result.preempted = list(self.preempted)
-        result.peak_concurrency = self.peak_concurrency
-        return result

@@ -14,7 +14,7 @@ Two identical runs produce byte-identical files regardless of
 ``PYTHONHASHSEED``; the cross-process determinism suite asserts it.
 
 :func:`export_run` bundles every artifact a
-:class:`~repro.serving.result.ServingResult`'s observers collected
+:class:`~repro.streams.fleet.ServingResult`'s observers collected
 into one directory (the CI incident artifacts are written this way).
 """
 

@@ -31,7 +31,7 @@ event stream.  End of run, :meth:`SloObserver.reports` summarizes each
 objective as a :class:`SloReport` (budget consumed/remaining,
 time-to-first-burn, worst windows), surfaced on
 :meth:`ServingResult.slo_reports
-<repro.serving.result.ServingResult.slo_reports>`.
+<repro.streams.fleet.ServingResult.slo_reports>`.
 
 Like every observer, attaching :class:`SloObserver` cannot change a
 run's results — the equivalence suite asserts bit-identity.

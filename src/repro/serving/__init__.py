@@ -65,7 +65,6 @@ from repro.serving.registry import (
     scenario_open_ended,
     scenario_topology,
 )
-from repro.serving.result import ServingResult
 from repro.serving.runner import (
     ServingRunner,
     build_observers,
@@ -74,6 +73,7 @@ from repro.serving.runner import (
     serve,
 )
 from repro.serving.spec import CONSTRAINT_MODES, PolicySpec, ServingSpec
+from repro.streams.fleet import ServingResult
 
 __all__ = [
     "ADMISSIONS",

@@ -10,8 +10,9 @@ state so one runner instance can serve many scenarios bit-identically.
 benches, report tables) builds on: it takes a declarative
 :class:`~repro.serving.spec.ServingSpec` (or its dict/JSON form),
 instantiates every policy from the registries, runs the matching
-topology, and returns a unified
-:class:`~repro.serving.result.ServingResult`.
+topology, and returns the runner's
+:class:`~repro.streams.fleet.ServingResult` with the spec, runner and
+observers filled in.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from repro.serving.registry import (
     RENEGOTIATIONS,
     SCENARIOS,
 )
-from repro.serving.result import ServingResult
 from repro.serving.spec import PolicySpec, ServingSpec
-from repro.streams.fleet import FleetRunner
+from repro.streams.fleet import FleetRunner, ServingResult
 from repro.streams.scenarios import Scenario
 
 
@@ -43,8 +43,8 @@ from repro.streams.scenarios import Scenario
 class ServingRunner(Protocol):
     """What every serving topology's runner provides.
 
-    ``run`` serves one scenario to completion and returns that
-    topology's result; ``reset`` restores the runner to its
+    ``run`` serves one scenario to completion and returns its
+    :class:`~repro.streams.fleet.ServingResult`; ``reset`` restores the runner to its
     just-constructed state so back-to-back ``run`` calls replay
     bit-identically (see ``tests/serving/test_serving_reset.py``).
     """
@@ -266,9 +266,10 @@ def serve(spec, observers: Sequence = ()) -> ServingResult:
     _wire_observers(all_observers)
     runner = build_runner(spec, scenario=scenario, observers=all_observers)
     try:
-        raw = runner.run(scenario)
+        result = runner.run(scenario)
     finally:
         _close_observers(all_observers)
-    return ServingResult(
-        raw=raw, spec=spec, runner=runner, observers=all_observers
-    )
+    result.spec = spec
+    result.runner = runner
+    result.observers = all_observers
+    return result

@@ -26,10 +26,10 @@ from repro.streams.arbiter import (
     WeightedShareArbiter,
 )
 from repro.streams.fleet import (
-    FleetResult,
     FleetRunner,
+    PoolRecord,
+    ServingResult,
     StreamOutcome,
-    compare_arbiters,
 )
 from repro.streams.scenarios import (
     Scenario,
@@ -49,16 +49,16 @@ __all__ = [
     "CapacityArbiter",
     "CapacityRequest",
     "EqualShareArbiter",
-    "FleetResult",
     "FleetRunner",
+    "PoolRecord",
     "QualityFairArbiter",
     "Scenario",
+    "ServingResult",
     "SessionStep",
     "StreamOutcome",
     "StreamSession",
     "StreamSpec",
     "WeightedShareArbiter",
-    "compare_arbiters",
     "flash_crowd",
     "heterogeneous_mix",
     "poisson_churn",

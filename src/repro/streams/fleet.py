@@ -18,10 +18,13 @@ single :class:`~repro.cluster.shard.Shard` (with no shard id), and the
 runner only feeds it arrivals and decides when the run is over.
 
 The run is fully deterministic for a fixed scenario: sessions draw from
-seeded generators and the loop orders everything by arrival.  The
-result aggregates per-stream :class:`~repro.sim.results.RunResult`s
-into fleet-level serving metrics — acceptance ratio, per-stream mean
-quality/PSNR, Jain fairness, skip and deadline-miss totals.
+seeded generators and the loop orders everything by arrival.
+
+Both runners return the one run-level result type defined here,
+:class:`ServingResult`: per-pool :class:`PoolRecord`s plus run-level
+fields, with every serving metric (acceptance ratio, per-stream mean
+quality/PSNR, Jain fairness, skip and deadline-miss totals, per-class
+and per-pool breakdowns) written once over the pools.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.analysis.metrics import jain_fairness_index
+from repro.analysis.metrics import jain_fairness_index, load_imbalance
 from repro.engine import validate_engine
 from repro.errors import ConfigurationError
 from repro.sim.results import RunResult
@@ -61,15 +64,19 @@ class StreamOutcome:
         return self.finished_round - self.admitted_round + 1
 
 
+def finite_mean(values) -> float:
+    """Mean over the finite values (nan when there are none)."""
+    finite = [v for v in values if np.isfinite(v)]
+    return float(np.mean(finite)) if finite else math.nan
+
+
 def class_breakdown(outcomes, rejected, preempted) -> dict[str, dict]:
     """Per-service-class serving metrics over one result's streams.
 
-    Shared by :class:`FleetResult`,
-    :class:`~repro.cluster.runner.ClusterResult`, and
-    :class:`~repro.serving.result.ServingResult`.  Unclassed streams
-    group under ``"unclassed"``.  ``preempted`` is the subset of
-    ``rejected`` evicted from admission queues, so its counts are
-    *included* in ``rejected`` (never double-counted in acceptance).
+    Unclassed streams group under ``"unclassed"``.  ``preempted`` is
+    the subset of ``rejected`` evicted from admission queues, so its
+    counts are *included* in ``rejected`` (never double-counted in
+    acceptance).
     """
     buckets: dict[str, dict] = {}
 
@@ -100,14 +107,11 @@ def class_breakdown(outcomes, rejected, preempted) -> dict[str, dict]:
     for name in sorted(buckets):
         entry = buckets.pop(name)
         qualities = entry.pop("qualities")
-        finite = [v for v in qualities if np.isfinite(v)]
         decided = entry["served"] + entry["rejected"]
         entry["acceptance_ratio"] = (
             entry["served"] / decided if decided else 1.0
         )
-        entry["mean_quality"] = (
-            float(np.mean(finite)) if finite else math.nan
-        )
+        entry["mean_quality"] = finite_mean(qualities)
         entry["fairness_quality"] = jain_fairness_index(qualities)
         breakdown[name] = entry
     return breakdown
@@ -168,53 +172,122 @@ def cross_class_fairness(breakdown: dict[str, dict]) -> float:
     return jain_fairness_index(values)
 
 
-@dataclass
-class FleetResult:
-    """Everything a fleet run produced."""
+@dataclass(frozen=True)
+class PoolRecord:
+    """One capacity pool's serving history (see ``Shard.result``).
 
-    scenario_name: str
+    ``shard_id`` is ``None`` for a fleet's single pool; ``capacity`` is
+    the pool's nominal budget (cycles per round, before capacity
+    events); ``demand_cycles`` is the demand its sessions put on it,
+    summed over rounds.  ``preempted`` is the subset of ``rejected``
+    evicted from the admission queue by priority admission.
+    """
+
+    shard_id: str | None
     arbiter_name: str
     capacity: float
+    peak_concurrency: int
+    demand_cycles: float
+    outcomes: tuple[StreamOutcome, ...]
+    rejected: tuple[StreamSpec, ...]
+    preempted: tuple[StreamSpec, ...]
+
+
+@dataclass
+class ServingResult:
+    """Everything one serving run produced, fleet or cluster.
+
+    ``pools`` holds one :class:`PoolRecord` per capacity pool: a
+    fleet's single pool, or every shard a cluster ran (live shards
+    first, then the ones the autoscaler retired).  Every accessor is
+    written once over the pools.  The cluster-tier fields (policy
+    names, ``migrations``, ``lent_cycles``, ``capacity_rounds``,
+    ``scale_actions``) keep their ``"none"`` / empty defaults on a
+    fleet.
+
+    :func:`repro.serving.serve` also fills in ``spec`` (the
+    :class:`~repro.serving.spec.ServingSpec` that produced the run),
+    ``runner`` (kept for post-run inspection, e.g.
+    ``runner.admission.queued_count``) and ``observers`` (every
+    observer attached to the run, caller-passed first, already
+    ``close()``-d so telemetry, logs and ledgers are readable).
+    """
+
+    scenario_name: str
     rounds: int
-    streams: list[StreamOutcome] = field(default_factory=list)
-    rejected: list[StreamSpec] = field(default_factory=list)
-    #: subset of ``rejected``: queued specs evicted by priority
-    #: admission (each appears in BOTH lists, counted once as rejected)
-    preempted: list[StreamSpec] = field(default_factory=list)
-    peak_concurrency: int = 0
+    pools: list[PoolRecord]
+    placement_name: str = "none"
+    migration_name: str = "none"
+    balancer_name: str = "none"
+    migrations: list = field(default_factory=list)
+    lent_cycles: float = 0.0
+    #: provisioned capacity summed over rounds (cycles x rounds) — what
+    #: a statically provisioned cluster "pays for"; the autoscaler
+    #: benchmarks compare this across provisioning strategies
+    capacity_rounds: float = 0.0
+    #: scale actions the autoscaler applied (empty without one)
+    scale_actions: list = field(default_factory=list)
+    spec: object | None = None
+    runner: object | None = None
+    observers: tuple = ()
+
+    @property
+    def raw(self) -> ServingResult:
+        """This result itself, read-only.
+
+        Kept only for ``perfbench/worker.py``, which still reads
+        ``result.raw``; other code uses the result directly.  Remove
+        it together with that reader.
+        """
+        return self
+
+    @property
+    def topology(self) -> str:
+        if any(pool.shard_id is not None for pool in self.pools):
+            return "cluster"
+        return "fleet"
 
     # ------------------------------------------------------------------
-    # per-stream series
+    # per-stream views
     # ------------------------------------------------------------------
+
+    @property
+    def outcomes(self) -> list[StreamOutcome]:
+        """Every served stream's outcome, pool by pool."""
+        return [o for pool in self.pools for o in pool.outcomes]
+
+    @property
+    def rejected(self) -> list[StreamSpec]:
+        return [s for pool in self.pools for s in pool.rejected]
+
+    @property
+    def preempted(self) -> list[StreamSpec]:
+        """Queued specs evicted by priority admission (each is also in
+        ``rejected``, counted once)."""
+        return [s for pool in self.pools for s in pool.preempted]
 
     def per_stream_quality(self) -> list[float]:
         """Mean delivered quality per served stream (nan if all skipped)."""
-        return [o.result.mean_quality() for o in self.streams]
+        return [o.result.mean_quality() for o in self.outcomes]
 
     def per_stream_psnr(self) -> list[float]:
-        return [o.result.mean_psnr() for o in self.streams]
-
-    def per_stream_skip_ratio(self) -> list[float]:
-        return [
-            o.result.skip_count / len(o.result) if len(o.result) else math.nan
-            for o in self.streams
-        ]
+        return [o.result.mean_psnr() for o in self.outcomes]
 
     # ------------------------------------------------------------------
-    # fleet aggregates
+    # run aggregates
     # ------------------------------------------------------------------
 
     @property
     def served_count(self) -> int:
-        return len(self.streams)
+        return sum(len(pool.outcomes) for pool in self.pools)
 
     @property
     def rejected_count(self) -> int:
-        return len(self.rejected)
+        return sum(len(pool.rejected) for pool in self.pools)
 
     @property
     def preempted_count(self) -> int:
-        return len(self.preempted)
+        return sum(len(pool.preempted) for pool in self.pools)
 
     @property
     def acceptance_ratio(self) -> float:
@@ -222,60 +295,161 @@ class FleetResult:
         return self.served_count / offered if offered else 1.0
 
     def total_renegotiations(self) -> int:
-        return sum(o.renegotiations for o in self.streams)
+        return sum(o.renegotiations for o in self.outcomes)
 
     def per_class(self) -> dict[str, dict]:
         """Per-service-class metrics (see :func:`class_breakdown`)."""
-        return class_breakdown(self.streams, self.rejected, self.preempted)
+        return class_breakdown(self.outcomes, self.rejected, self.preempted)
 
     def fairness_cross_class(self) -> float:
         """Jain index over per-class mean quality."""
         return cross_class_fairness(self.per_class())
 
     def fairness_quality(self) -> float:
-        """Jain index over per-stream mean quality — the headline metric."""
+        """Jain index over every served stream's mean quality — the
+        headline metric."""
         return jain_fairness_index(self.per_stream_quality())
 
     def fairness_psnr(self) -> float:
         return jain_fairness_index(self.per_stream_psnr())
 
     def mean_quality(self) -> float:
-        values = [v for v in self.per_stream_quality() if np.isfinite(v)]
-        return float(np.mean(values)) if values else math.nan
+        return finite_mean(self.per_stream_quality())
 
     def mean_psnr(self) -> float:
-        values = [v for v in self.per_stream_psnr() if np.isfinite(v)]
-        return float(np.mean(values)) if values else math.nan
+        return finite_mean(self.per_stream_psnr())
 
     def total_skips(self) -> int:
-        return sum(o.result.skip_count for o in self.streams)
+        return sum(o.result.skip_count for o in self.outcomes)
 
     def total_frames(self) -> int:
-        return sum(len(o.result) for o in self.streams)
+        return sum(len(o.result) for o in self.outcomes)
 
     def total_deadline_misses(self) -> int:
-        return sum(o.result.deadline_miss_count for o in self.streams)
+        return sum(o.result.deadline_miss_count for o in self.outcomes)
+
+    # ------------------------------------------------------------------
+    # per-pool views
+    # ------------------------------------------------------------------
+
+    def per_pool(self) -> list[dict]:
+        """Per-pool serving metrics, one entry per pool in order."""
+        breakdown = []
+        for pool in self.pools:
+            qualities = [o.result.mean_quality() for o in pool.outcomes]
+            breakdown.append({
+                "shard": pool.shard_id,
+                "arbiter": pool.arbiter_name,
+                "capacity": pool.capacity,
+                "peak_concurrency": pool.peak_concurrency,
+                "demand_cycles": pool.demand_cycles,
+                "served": len(pool.outcomes),
+                "rejected": len(pool.rejected),
+                "preempted": len(pool.preempted),
+                "frames": sum(len(o.result) for o in pool.outcomes),
+                "skips": sum(o.result.skip_count for o in pool.outcomes),
+                "mean_quality": finite_mean(qualities),
+                "fairness_quality": jain_fairness_index(qualities),
+            })
+        return breakdown
+
+    def fairness_cross_shard(self) -> float:
+        """Jain index over per-pool mean quality — the cluster-level
+        quality-fair-delivery criterion (idle pools excluded: an
+        unused pool is a placement problem, measured by imbalance)."""
+        values = [
+            entry["mean_quality"]
+            for entry in self.per_pool()
+            if not math.isnan(entry["mean_quality"])
+        ]
+        return jain_fairness_index(values)
+
+    def load_imbalance(self) -> float:
+        """Peak-to-mean realized pool load (1.0 = perfectly balanced)."""
+        return load_imbalance([pool.demand_cycles for pool in self.pools])
+
+    @property
+    def migration_count(self) -> int:
+        return len(self.migrations)
+
+    @property
+    def active_migration_count(self) -> int:
+        return sum(1 for m in self.migrations if m.kind == "active")
+
+    # ------------------------------------------------------------------
+    # observability views (SLOs, traces, incidents)
+    # ------------------------------------------------------------------
+
+    def _first_observer(self, cls):
+        return next(
+            (o for o in self.observers if isinstance(o, cls)), None
+        )
+
+    def slo_reports(self) -> tuple:
+        """Every declared SLO's end-of-run
+        :class:`~repro.obs.slo.SloReport` (empty without an attached
+        SLO observer — declare ``spec.slos`` to get one)."""
+        from repro.obs.slo import SloObserver
+
+        observer = self._first_observer(SloObserver)
+        return () if observer is None else observer.reports()
+
+    def alerts(self) -> tuple:
+        """Every burn-rate :class:`~repro.obs.events.AlertEvent` the
+        run's SLO observer fired or resolved, in order."""
+        from repro.obs.slo import SloObserver
+
+        observer = self._first_observer(SloObserver)
+        return () if observer is None else tuple(observer.alerts)
+
+    def traces(self) -> tuple:
+        """Every session's :class:`~repro.obs.tracing.TraceRecord`
+        (empty without an attached trace observer)."""
+        from repro.obs.tracing import TraceObserver
+
+        observer = self._first_observer(TraceObserver)
+        return () if observer is None else observer.records()
+
+    def incidents(self, **kwargs) -> tuple:
+        """Attributed :class:`~repro.obs.attribution.Incident` per
+        fired alert; needs both an SLO and a trace observer attached
+        (post-hoc and pure — calling this cannot change the run)."""
+        from repro.obs.attribution import attribute_incidents
+        from repro.obs.slo import SloObserver
+        from repro.obs.tracing import TraceObserver
+
+        slo = self._first_observer(SloObserver)
+        trace = self._first_observer(TraceObserver)
+        if slo is None or trace is None:
+            return ()
+        return attribute_incidents(slo, trace, **kwargs)
 
     def summary(self) -> dict:
-        """Headline numbers for reports and assertions."""
+        """Topology-independent headline numbers (stable keys).
+
+        One pass over the outcome list: benches call this in loops.
+        """
+        outcomes = self.outcomes
+        qualities = [o.result.mean_quality() for o in outcomes]
         return {
+            "topology": self.topology,
             "scenario": self.scenario_name,
-            "arbiter": self.arbiter_name,
-            "capacity": self.capacity,
             "rounds": self.rounds,
-            "served": self.served_count,
+            "served": len(outcomes),
             "rejected": self.rejected_count,
             "preempted": self.preempted_count,
-            "renegotiations": self.total_renegotiations(),
+            "renegotiations": sum(o.renegotiations for o in outcomes),
             "acceptance_ratio": round(self.acceptance_ratio, 4),
-            "peak_concurrency": self.peak_concurrency,
-            "frames": self.total_frames(),
-            "skips": self.total_skips(),
-            "deadline_misses": self.total_deadline_misses(),
-            "mean_quality": round(self.mean_quality(), 3),
-            "mean_psnr": round(self.mean_psnr(), 3),
-            "fairness_quality": round(self.fairness_quality(), 4),
-            "fairness_psnr": round(self.fairness_psnr(), 4),
+            "frames": sum(len(o.result) for o in outcomes),
+            "skips": sum(o.result.skip_count for o in outcomes),
+            "deadline_misses": sum(
+                o.result.deadline_miss_count for o in outcomes
+            ),
+            "mean_quality": round(finite_mean(qualities), 3),
+            "mean_psnr": round(
+                finite_mean([o.result.mean_psnr() for o in outcomes]), 3
+            ),
+            "fairness_quality": round(jain_fairness_index(qualities), 4),
         }
 
 
@@ -360,7 +534,7 @@ class FleetRunner:
         if self.admission is not None:
             self.admission.reset()
 
-    def run(self, scenario: Scenario) -> FleetResult:
+    def run(self, scenario: Scenario) -> ServingResult:
         """Serve the whole scenario to completion.
 
         The pool round itself (offer, queue, arbitrate, step, retire)
@@ -435,26 +609,8 @@ class FleetRunner:
                     observer.on_phase("admission", now - t0, round_index)
             shard.step(round_index)
             round_index += 1
-        return shard.result(scenario.name, round_index)
-
-
-def compare_arbiters(
-    scenario: Scenario,
-    capacity: float,
-    arbiters: list[CapacityArbiter],
-    admission_factory=None,
-    **runner_kwargs,
-) -> dict[str, FleetResult]:
-    """Run one scenario under several arbiters (fresh admission each).
-
-    The bench and the fairness tests use this to put equal-share and
-    quality-fair arbitration side by side on identical workloads.
-    """
-    results: dict[str, FleetResult] = {}
-    for arbiter in arbiters:
-        admission = admission_factory(capacity) if admission_factory else None
-        runner = FleetRunner(
-            capacity=capacity, arbiter=arbiter, admission=admission, **runner_kwargs
+        return ServingResult(
+            scenario_name=scenario.name,
+            rounds=round_index,
+            pools=[shard.result()],
         )
-        results[arbiter.name] = runner.run(scenario)
-    return results

@@ -154,27 +154,27 @@ class TestFleetReporting:
         assert jain_fairness_index([1.0, float("nan")]) == pytest.approx(0.5)
 
     def test_fleet_table_renders_arbiters(self):
-        from repro.analysis.report import fleet_table
+        from repro.analysis.report import serving_table
         from repro.streams import EqualShareArbiter, FleetRunner, steady_fleet
 
         scenario = steady_fleet(2, frames=4, scale=27)
         result = FleetRunner(
             scenario.total_demand(), EqualShareArbiter()
         ).run(scenario)
-        table = fleet_table([result])
+        table = serving_table([result])
         lines = table.splitlines()
         assert "equal-share" in table
         assert "fair(q)" in lines[0]
         assert len({len(line) for line in lines if line}) == 1  # aligned
 
     def test_fleet_stream_table_lists_streams(self):
-        from repro.analysis.report import fleet_stream_table
+        from repro.analysis.report import stream_table
         from repro.streams import EqualShareArbiter, FleetRunner, steady_fleet
 
         scenario = steady_fleet(2, frames=4, scale=27)
         result = FleetRunner(
             scenario.total_demand(), EqualShareArbiter()
         ).run(scenario)
-        table = fleet_stream_table(result)
+        table = stream_table(result)
         assert "steady-0" in table and "steady-1" in table
         assert table.splitlines()[0].startswith("| stream |")

@@ -13,7 +13,6 @@ from repro.cluster import (
     LoadBalanceMigration,
     RoundRobinPlacement,
     build_shards,
-    compare_placements,
     flash_crowd_split,
     shard_outage,
     skewed_cluster,
@@ -27,9 +26,10 @@ class TestAcceptanceCriteria:
 
     def test_feasibility_aware_placement_beats_round_robin_on_acceptance(self):
         scenario = skewed_cluster()
-        results = compare_placements(
-            scenario, [RoundRobinPlacement(), BestFitPlacement()]
-        )
+        results = {
+            placement.name: ClusterRunner(placement).run(scenario)
+            for placement in (RoundRobinPlacement(), BestFitPlacement())
+        }
         blind = results["round-robin"]
         aware = results["best-fit"]
         # round-robin sends heavy streams to a shard whose whole budget
@@ -54,7 +54,7 @@ class TestAcceptanceCriteria:
             > frozen.fairness_cross_shard() + 0.1
         )
         # per-stream fairness improves too, and served totals match
-        assert mobile.fairness_streams() > frozen.fairness_streams()
+        assert mobile.fairness_quality() > frozen.fairness_quality()
         assert mobile.served_count == frozen.served_count
 
 
@@ -91,8 +91,9 @@ class TestDeterminism:
 
         assert canon(first.summary()) == canon(second.summary())
         assert first.migrations == second.migrations
-        for a, b in zip(first.shard_results, second.shard_results):
-            assert canon(a.summary()) == canon(b.summary())
+        assert len(first.pools) == len(second.pools)
+        for a, b in zip(first.per_pool(), second.per_pool()):
+            assert canon(a) == canon(b)
 
 
 class TestConservation:
@@ -101,12 +102,8 @@ class TestConservation:
         result = ClusterRunner(
             LeastLoadedPlacement(), migration=LoadBalanceMigration()
         ).run(scenario)
-        served = [
-            o.spec.name for r in result.shard_results for o in r.streams
-        ]
-        rejected = [
-            s.name for r in result.shard_results for s in r.rejected
-        ]
+        served = [o.spec.name for o in result.outcomes]
+        rejected = [s.name for s in result.rejected]
         assert len(served) == len(set(served))  # no duplicates
         assert sorted(served + rejected) == sorted(
             s.name for s in scenario.arrivals.specs
@@ -118,9 +115,8 @@ class TestConservation:
             RoundRobinPlacement(), migration=LoadBalanceMigration()
         ).run(scenario)
         assert result.active_migration_count > 0
-        for shard in result.shard_results:
-            for outcome in shard.streams:
-                assert len(outcome.result) == outcome.spec.config.frames
+        for outcome in result.outcomes:
+            assert len(outcome.result) == outcome.spec.config.frames
 
     def test_balancer_conserves_total_capacity(self):
         shards = build_shards((40e6, 20e6, 10e6))
@@ -146,7 +142,7 @@ class TestOutage:
         # the outage starves the degraded shard's streams; migration
         # moves them off and closes the fairness gap
         assert mobile.active_migration_count > 0
-        assert mobile.fairness_streams() > frozen.fairness_streams()
+        assert mobile.fairness_quality() > frozen.fairness_quality()
         assert mobile.total_skips() < frozen.total_skips()
         assert mobile.served_count == frozen.served_count == 9
 
@@ -202,10 +198,7 @@ class TestRecovery:
         result = ClusterRunner(LeastLoadedPlacement()).run(scenario)
         assert result.served_count == 3
         parked = next(
-            o
-            for r in result.shard_results
-            for o in r.streams
-            if o.spec.name == "parked"
+            o for o in result.outcomes if o.spec.name == "parked"
         )
         # admitted the round capacity recovered, not at global idle
         assert parked.admitted_round == 10
@@ -249,25 +242,29 @@ class TestFlashCrowd:
         assert result.served_count == 12
         assert result.rejected_count == 0
         # the crowd cannot fit on one shard: every shard served some
-        assert all(r.served_count > 0 for r in result.shard_results)
+        assert all(entry["served"] > 0 for entry in result.per_pool())
 
 
 class TestResultShape:
     def test_summary_keys_and_table(self):
-        from repro.analysis.report import cluster_compare_table, cluster_table
+        from repro.analysis.report import pool_table, serving_table
 
         result = ClusterRunner(LeastLoadedPlacement()).run(
             flash_crowd_split(base=2, crowd=2, shards=2, frames=6)
         )
         summary = result.summary()
         for key in (
-            "scenario", "placement", "migration", "shards", "served",
-            "rejected", "acceptance_ratio", "migrations", "mean_quality",
-            "fairness_streams", "fairness_cross_shard", "load_imbalance",
+            "scenario", "served", "rejected", "acceptance_ratio",
+            "mean_quality", "fairness_quality",
         ):
             assert key in summary
-        assert "shard-0" in cluster_table(result)
-        assert "least-loaded" in cluster_compare_table([result])
+        assert result.placement_name == "least-loaded"
+        assert result.migration_name == "none"
+        assert len(result.pools) == 2
+        assert result.migration_count == 0
+        assert not math.isnan(result.fairness_cross_shard())
+        assert "shard-0" in pool_table(result)
+        assert "least-loaded" in serving_table([result])
         assert not math.isnan(result.load_imbalance())
 
 

@@ -200,7 +200,8 @@ class TestValidation:
         while shard.busy:
             shard.step(rounds)
             rounds += 1
-        result = shard.result("scenario-x", rounds)
-        assert result.scenario_name == "scenario-x"
-        assert result.served_count == 1
+        result = shard.result()
+        assert result.shard_id == shard.shard_id
+        assert len(result.outcomes) == 1
         assert result.capacity == shard.nominal_capacity
+        assert result.demand_cycles == shard.demand_cycles

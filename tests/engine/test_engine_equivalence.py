@@ -194,10 +194,9 @@ def test_cluster_engine_bit_identical(name, engine):
     scalar, scalar_log = run_with_log(name, "scalar")
     other, other_log = run_with_log(name, engine)
     assert_results_identical(scalar, other)
-    assert scalar.raw.migrations == other.raw.migrations
-    assert scalar.raw.shard_demand_cycles == other.raw.shard_demand_cycles
-    for mine, theirs in zip(scalar.raw.shard_results, other.raw.shard_results):
-        a, b = mine.summary(), theirs.summary()
+    assert scalar.migrations == other.migrations
+    assert len(scalar.pools) == len(other.pools)
+    for a, b in zip(scalar.per_pool(), other.per_pool()):
         assert a.keys() == b.keys()
         assert_values_equal(list(a.values()), list(b.values()))
     assert scalar_log == other_log

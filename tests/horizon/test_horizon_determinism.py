@@ -47,15 +47,15 @@ def test_repeat_runs_are_byte_identical():
     second, second_log = run()
     assert first_log == second_log
     assert first.summary() == second.summary()
-    assert [a.to_dict() for a in first.raw.scale_actions] == [
-        a.to_dict() for a in second.raw.scale_actions
+    assert [a.to_dict() for a in first.scale_actions] == [
+        a.to_dict() for a in second.scale_actions
     ]
 
 
 def test_the_run_actually_scales_and_serves():
     result, log = run()
-    assert result.raw.scale_actions, "the diurnal swing must trigger scaling"
-    assert result.raw.served_count > 0
+    assert result.scale_actions, "the diurnal swing must trigger scaling"
+    assert result.served_count > 0
     assert '"scale"' in log, "scale actions must reach the event log"
 
 

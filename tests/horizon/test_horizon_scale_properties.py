@@ -27,8 +27,9 @@ from repro.streams.scenarios import Scenario, StreamSpec
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
-#: Shard budgets are multiples of one stream's dedicated demand, so
-#: any surviving shard can absorb a retired shard's whole population.
+#: Shard budgets are multiples of one stream's dedicated demand and
+#: never drop below two of them (only shards of at least four are
+#: split), so with two streams in the run every relocation fits.
 UNIT = scaled_config(scale=20, seed=5, frames=32).period
 
 CAPACITY_CHOICES = (4.0 * UNIT, 6.0 * UNIT, 8.0 * UNIT)
@@ -56,15 +57,18 @@ def draw_schedule(data, initial):
 
     The model mirrors the runner: created shards are named
     ``scale-<serial>`` in creation order; ``remove`` never targets the
-    last shard.  Actions land on consecutive rounds starting at 1.
+    last shard; ``split`` only targets shards whose halves can each
+    still host both streams.  Actions land on consecutive rounds
+    starting at 1.
     """
     model = {f"shard-{i}": c for i, c in enumerate(initial)}
     serial = 0
     schedule = []
     for step in range(data.draw(st.integers(0, 6), label="ops")):
-        kinds = ["add"] + (
-            ["remove", "split", "merge"] if len(model) > 1 else []
-        )
+        splittable = sorted(s for s, c in model.items() if c >= 4.0 * UNIT)
+        kinds = ["add"] + (["remove", "merge"] if len(model) > 1 else [])
+        if len(model) > 1 and splittable:
+            kinds.insert(2, "split")
         kind = data.draw(st.sampled_from(kinds), label=f"kind{step}")
         if kind == "add":
             cap = data.draw(
@@ -81,7 +85,7 @@ def draw_schedule(data, initial):
             del model[victim]
         elif kind == "split":
             victim = data.draw(
-                st.sampled_from(sorted(model)), label=f"victim{step}"
+                st.sampled_from(splittable), label=f"victim{step}"
             )
             cap = model.pop(victim)
             parts = (cap / 2.0, cap - cap / 2.0)
@@ -146,6 +150,46 @@ def test_legal_action_sequences_conserve_declared_capacity(data):
         sum(declared.values()), sum(model.values()),
         rel_tol=1e-9, abs_tol=1e-6,
     )
+    assert ledger.violations == []
+
+
+def test_split_that_would_strand_a_live_stream_is_dropped():
+    """Regression (shrunk from the property above): splitting a pool
+    into halves too small for its live stream is refused — the action
+    is dropped and the pool keeps its declared capacity."""
+    def split(shard, capacity):
+        return ScaleAction(
+            kind="split", shards=(shard,),
+            capacities=(capacity / 2, capacity / 2),
+        )
+
+    schedule = (
+        (1, split("shard-0", 4.0 * UNIT)),
+        (2, split("scale-0", 2.0 * UNIT)),  # s0 lands on scale-2
+        (3, split("scale-2", 1.0 * UNIT)),  # halves below s0's demand
+    )
+    log = StructuredEventLog()
+    ledger = InvariantObserver(
+        invariants=["scale-conservation"], enforce=True
+    )
+    result = ClusterRunner(
+        RoundRobinPlacement(),
+        autoscaler=ScheduledAutoscaler(schedule=schedule),
+        observers=[log, ledger],
+        admission=False,
+    ).run(base_scenario((4.0 * UNIT, 4.0 * UNIT)))
+    assert [a.shards for a in result.scale_actions] == [
+        ("shard-0",), ("scale-0",),
+    ]
+    declared = {}
+    for event in log.events:
+        if event.kind == "capacity":
+            if event.capacity <= 0.0:
+                declared.pop(event.shard, None)
+            else:
+                declared[event.shard] = event.capacity
+    assert sorted(declared) == ["scale-1", "scale-2", "scale-3", "shard-1"]
+    assert math.isclose(declared["scale-2"], UNIT)
     assert ledger.violations == []
 
 

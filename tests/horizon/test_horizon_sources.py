@@ -199,9 +199,9 @@ class TestStopCondition:
         })
         # arrivals stop at round 11; the drain tail is the buffered
         # frames of the shut-down sessions, not another content loop
-        assert result.raw.rounds >= 12
-        assert result.raw.rounds < 40
-        assert result.raw.served_count > 0
+        assert result.rounds >= 12
+        assert result.rounds < 40
+        assert result.served_count > 0
 
     def test_finite_scenarios_still_run_without_max_rounds(self):
         result = serve({
@@ -209,7 +209,7 @@ class TestStopCondition:
                          "kwargs": {"count": 2, "frames": 4}},
             "capacity": 24e6,
         })
-        assert result.raw.served_count == 2
+        assert result.served_count == 2
 
     def test_max_rounds_validation(self):
         base = {

@@ -182,7 +182,7 @@ def test_cluster_observers_change_nothing(name, kwargs, combo, make):
     bare = serve(spec)
     observed = serve(spec, observers=make())
     assert_results_identical(bare, observed)
-    assert bare.raw.migrations == observed.raw.migrations
+    assert bare.migrations == observed.migrations
 
 
 def test_spec_declared_observers_change_nothing():

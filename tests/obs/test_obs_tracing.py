@@ -187,7 +187,7 @@ class TestSpanTrees:
 
     def test_cluster_migrations_become_spans(self):
         result, tracer = _trace(CLUSTER_SPEC)
-        migrations = result.raw.migrations
+        migrations = result.migrations
         assert migrations
         moves = [
             span

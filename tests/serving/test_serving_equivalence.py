@@ -82,26 +82,35 @@ def assert_summaries_equal(mine, theirs):
     assert_values_equal(list(mine.values()), list(theirs.values()))
 
 
+def assert_pools_equal(served, direct):
+    assert len(served.pools) == len(direct.pools)
+    for mine, theirs in zip(served.per_pool(), direct.per_pool()):
+        assert_summaries_equal(mine, theirs)
+
+
 def assert_fleet_identical(served, direct):
-    assert_summaries_equal(served.raw.summary(), direct.summary())
+    assert_summaries_equal(served.summary(), direct.summary())
+    assert_pools_equal(served, direct)
     assert_values_equal(
-        served.raw.per_stream_quality(), direct.per_stream_quality()
+        served.per_stream_quality(), direct.per_stream_quality()
     )
-    assert_values_equal(served.raw.per_stream_psnr(), direct.per_stream_psnr())
+    assert_values_equal(served.per_stream_psnr(), direct.per_stream_psnr())
     assert [o.spec.name for o in served.outcomes] == [
-        o.spec.name for o in direct.streams
+        o.spec.name for o in direct.outcomes
     ]
 
 
 def assert_cluster_identical(served, direct):
-    assert_summaries_equal(served.raw.summary(), direct.summary())
+    assert_summaries_equal(served.summary(), direct.summary())
     assert_values_equal(
-        served.raw.per_stream_quality(), direct.per_stream_quality()
+        served.per_stream_quality(), direct.per_stream_quality()
     )
-    assert served.raw.shard_demand_cycles == direct.shard_demand_cycles
-    assert served.raw.migrations == direct.migrations
-    for mine, theirs in zip(served.raw.shard_results, direct.shard_results):
-        assert_summaries_equal(mine.summary(), theirs.summary())
+    assert (
+        served.placement_name, served.migration_name, served.balancer_name,
+    ) == (direct.placement_name, direct.migration_name, direct.balancer_name)
+    assert served.capacity_rounds == direct.capacity_rounds
+    assert served.migrations == direct.migrations
+    assert_pools_equal(served, direct)
 
 
 @pytest.mark.parametrize(
@@ -211,7 +220,7 @@ class TestNoOpObserversChangeNothing:
         bare = serve(spec)
         observed = serve(spec, observers=[RoundObserver()])
         assert bare.summary() == observed.summary()
-        assert bare.raw.migrations == observed.raw.migrations
+        assert bare.migrations == observed.migrations
 
 
 class TestServingRunnerProtocol:

@@ -120,19 +120,19 @@ class TestClusterHooks:
         assert observer.rejected == result.rejected_count
         assert observer.departed == result.served_count
         # on_round fires once per round per shard
-        assert observer.rounds == result.rounds * result.raw.shard_count
-        assert observer.migrated == result.raw.migration_count
+        assert observer.rounds == result.rounds * len(result.pools)
+        assert observer.migrated == result.migration_count
         assert observer.migrated > 0, "skewed round-robin should migrate"
 
     def test_shard_ids_tag_every_pool_event(self):
         observer = RecordingObserver()
         result = serve(CLUSTER_SPEC, observers=[observer])
-        expected = {f"shard-{i}" for i in range(result.raw.shard_count)}
+        expected = {pool.shard_id for pool in result.pools}
         assert {r[3] for r in observer.rounds} == expected
         assert {a[2] for a in observer.admits} <= expected
         assert {d[2] for d in observer.departs} <= expected
         # migration payloads are the executed moves, in order
-        assert [m[0] for m in observer.migrations] == result.raw.migrations
+        assert [m[0] for m in observer.migrations] == result.migrations
 
     def test_migrated_stream_departs_from_destination_shard(self):
         observer = RecordingObserver()

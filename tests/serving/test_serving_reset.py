@@ -115,9 +115,9 @@ class TestClusterRunnerReset:
         assert first.summary() == second.summary() == fresh.summary()
         assert first.migrations == second.migrations == fresh.migrations
         assert (
-            first.shard_demand_cycles
-            == second.shard_demand_cycles
-            == fresh.shard_demand_cycles
+            [pool.demand_cycles for pool in first.pools]
+            == [pool.demand_cycles for pool in second.pools]
+            == [pool.demand_cycles for pool in fresh.pools]
         )
 
     def test_implicit_reset_on_run(self):

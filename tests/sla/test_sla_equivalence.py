@@ -49,6 +49,12 @@ def assert_summaries_equal(mine, theirs):
     assert_values_equal(list(mine.values()), list(theirs.values()))
 
 
+def assert_pools_equal(served, direct):
+    assert len(served.pools) == len(direct.pools)
+    for mine, theirs in zip(served.per_pool(), direct.per_pool()):
+        assert_summaries_equal(mine, theirs)
+
+
 def assert_breakdowns_equal(mine, theirs):
     assert mine.keys() == theirs.keys()
     for name in mine:
@@ -73,11 +79,12 @@ class TestFleetSlaEquivalence:
             PriorityAdmissionController(CAPACITY, queue_limit=2),
             renegotiation=StepRenegotiation(patience=2),
         ).run(gold_rush(**self.KWARGS))
-        assert_summaries_equal(served.raw.summary(), direct.summary())
+        assert_summaries_equal(served.summary(), direct.summary())
         assert_values_equal(
-            served.raw.per_stream_quality(), direct.per_stream_quality()
+            served.per_stream_quality(), direct.per_stream_quality()
         )
-        assert_breakdowns_equal(served.raw.per_class(), direct.per_class())
+        assert_breakdowns_equal(served.per_class(), direct.per_class())
+        assert_pools_equal(served, direct)
 
     def test_custom_classes_from_json(self):
         spec = ServingSpec.from_dict({
@@ -98,11 +105,12 @@ class TestFleetSlaEquivalence:
             service_classes=CUSTOM_CLASSES,
             renegotiation=StepRenegotiation(),
         ).run(gold_rush(**self.KWARGS))
-        assert_summaries_equal(served.raw.summary(), direct.summary())
+        assert_summaries_equal(served.summary(), direct.summary())
         assert_values_equal(
-            served.raw.per_stream_quality(), direct.per_stream_quality()
+            served.per_stream_quality(), direct.per_stream_quality()
         )
-        assert_breakdowns_equal(served.raw.per_class(), direct.per_class())
+        assert_breakdowns_equal(served.per_class(), direct.per_class())
+        assert_pools_equal(served, direct)
 
 
 class TestClusterSlaEquivalence:
@@ -128,16 +136,13 @@ class TestClusterSlaEquivalence:
             ),
             renegotiation=StepRenegotiation(),
         ).run(sla_skewed_cluster(**self.KWARGS))
-        assert_summaries_equal(served.raw.summary(), direct.summary())
+        assert_summaries_equal(served.summary(), direct.summary())
         assert_values_equal(
-            served.raw.per_stream_quality(), direct.per_stream_quality()
+            served.per_stream_quality(), direct.per_stream_quality()
         )
-        assert_breakdowns_equal(served.raw.per_class(), direct.per_class())
-        assert served.raw.migrations == direct.migrations
-        for mine, theirs in zip(
-            served.raw.shard_results, direct.shard_results
-        ):
-            assert_summaries_equal(mine.summary(), theirs.summary())
+        assert_breakdowns_equal(served.per_class(), direct.per_class())
+        assert served.migrations == direct.migrations
+        assert_pools_equal(served, direct)
 
 
 class TestNoOpObserversChangeNothing:

@@ -28,7 +28,7 @@ capacity = 6 * 16e6
 runner = FleetRunner(capacity, QualityFairArbiter(), AdmissionController(capacity))
 result = runner.run(scenario)
 summary = result.summary()
-summary["psnr_digest"] = [round(sum(o.result.psnr_series()), 6) for o in result.streams]
+summary["psnr_digest"] = [round(sum(o.result.psnr_series()), 6) for o in result.outcomes]
 print(json.dumps(summary))
 """
 
@@ -41,6 +41,8 @@ result = ClusterRunner(RoundRobinPlacement(), migration=LoadBalanceMigration()).
 )
 summary = result.summary()
 summary["moves"] = [[m.stream_id, m.source, m.dest, m.kind] for m in result.migrations]
+summary["fairness_cross_shard"] = result.fairness_cross_shard()
+summary["load_imbalance"] = result.load_imbalance()
 print(json.dumps(summary))
 """
 
@@ -96,7 +98,7 @@ class TestCrossProcess:
         ).run(scenario)
         local = result.summary()
         local["psnr_digest"] = [
-            round(sum(o.result.psnr_series()), 6) for o in result.streams
+            round(sum(o.result.psnr_series()), 6) for o in result.outcomes
         ]
         remote = run_in_subprocess(FLEET_SNIPPET, hash_seed="99")
         assert json.loads(json.dumps(local)) == remote

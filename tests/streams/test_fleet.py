@@ -16,7 +16,6 @@ from repro.streams import (
     FleetRunner,
     QualityFairArbiter,
     WeightedShareArbiter,
-    compare_arbiters,
     flash_crowd,
     heterogeneous_mix,
     poisson_churn,
@@ -42,12 +41,13 @@ class TestSmallFleet:
         assert result.acceptance_ratio == 1.0
         assert result.total_frames() == 4 * 12
         assert result.total_skips() == 0
-        assert result.peak_concurrency == 4
+        assert result.pools[0].peak_concurrency == 4
         assert result.mean_quality() > 3.0
         assert result.fairness_quality() > 0.95
+        assert result.pools[0].arbiter_name == "weighted-share"
         summary = result.summary()
         for key in (
-            "scenario", "arbiter", "served", "acceptance_ratio",
+            "scenario", "served", "acceptance_ratio",
             "fairness_quality", "mean_psnr", "skips", "deadline_misses",
         ):
             assert key in summary
@@ -71,7 +71,7 @@ class TestDeterminism:
         first = FleetRunner(
             capacity, QualityFairArbiter(), AdmissionController(capacity)
         ).run(scenario)
-        assert first.peak_concurrency >= 20
+        assert first.pools[0].peak_concurrency >= 20
         # drop every memoized simulation: the replay must rebuild from
         # seeds alone, not reuse shared state
         reset_caches()
@@ -79,21 +79,22 @@ class TestDeterminism:
             capacity, QualityFairArbiter(), AdmissionController(capacity)
         ).run(churn_scenario())
         assert first.summary() == second.summary()
-        assert [o.result.summary() for o in first.streams] == [
-            o.result.summary() for o in second.streams
+        assert [o.result.summary() for o in first.outcomes] == [
+            o.result.summary() for o in second.outcomes
         ]
         assert [
-            list(o.result.psnr_series()) for o in first.streams
-        ] == [list(o.result.psnr_series()) for o in second.streams]
+            list(o.result.psnr_series()) for o in first.outcomes
+        ] == [list(o.result.psnr_series()) for o in second.outcomes]
 
 
 class TestFairness:
     def test_quality_fair_beats_equal_share_on_heterogeneous_mix(self):
         scenario = heterogeneous_mix(21, frames=20, seed=11)
         capacity = 0.55 * scenario.total_demand()
-        results = compare_arbiters(
-            scenario, capacity, [EqualShareArbiter(), QualityFairArbiter()]
-        )
+        results = {
+            arbiter.name: FleetRunner(capacity, arbiter).run(scenario)
+            for arbiter in (EqualShareArbiter(), QualityFairArbiter())
+        }
         equal = results["equal-share"]
         fair = results["quality-fair"]
         assert equal.served_count == fair.served_count == 21
@@ -122,10 +123,10 @@ class TestAdmissionCoupling:
         result = runner.run(scenario)
         # everything is eventually served (queued streams start late)
         assert result.served_count == 6
-        crowd = [o for o in result.streams if o.spec.name.startswith("crowd")]
+        crowd = [o for o in result.outcomes if o.spec.name.startswith("crowd")]
         delays = [o.admitted_round - o.spec.arrival_round for o in crowd]
         assert max(delays) > 0  # at least one crowd stream had to wait
-        assert result.peak_concurrency <= 4
+        assert result.pools[0].peak_concurrency <= 4
 
     def test_oversized_streams_are_rejected(self):
         from repro.streams import qmin_demand
