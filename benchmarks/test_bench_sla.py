@@ -67,12 +67,12 @@ class ConservationObserver(RoundObserver):
         self.busy_rounds = 0
         self.violations = 0
 
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        if not allocations:
+    def on_event(self, event):
+        if event.kind != "round" or not event.allocations:
             return
         self.busy_rounds += 1
         if not math.isclose(
-            sum(allocations.values()), capacity, rel_tol=1e-9
+            sum(event.allocations.values()), event.capacity, rel_tol=1e-9
         ):
             self.violations += 1
 

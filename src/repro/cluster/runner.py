@@ -165,11 +165,12 @@ class ClusterRunner:
         Optional :class:`HeadroomBalancer` lending idle capacity
         between shards each round.
     observers:
-        :class:`~repro.serving.observers.RoundObserver` instances whose
-        hooks fire per shard (``on_round`` / ``on_admit`` /
-        ``on_reject`` / ``on_depart``, with the shard's id) and per
-        executed migration move (``on_migrate``).  Observers are never
-        read back, so they cannot change results.
+        :class:`~repro.serving.observers.RoundObserver` instances that
+        receive every lifecycle event: per shard (``round`` /
+        ``admit`` / ``reject`` / ``depart``, tagged with the shard's
+        id), per executed migration move (``migrate``) and per applied
+        scale action (``scale``).  Observers are never read back, so
+        they cannot change results.
     engine:
         Session execution engine (see :mod:`repro.engine`):
         ``"scalar"`` steps shards (and their sessions) sequentially one
@@ -247,7 +248,7 @@ class ClusterRunner:
             )
         # the autoscaler's signal source (usually its private telemetry
         # observer) rides along with the caller's observers so it sees
-        # every hook on every shard
+        # every event on every shard
         observers = self.observers
         if self.autoscaler is not None:
             signal_observer = self.autoscaler.observer()
@@ -256,20 +257,19 @@ class ClusterRunner:
         for shard in shards:
             shard.observers = observers
             shard.engine = self.engine
-        timed = False
+        events = None
         phase_observers: tuple = ()
         if observers:
             # imported lazily — the cluster layer never depends on
-            # repro.serving at import time
+            # repro.obs or repro.serving at import time
+            from repro.obs.events import EventPublisher
             from repro.serving.observers import phase_listeners
 
+            events = EventPublisher(observers)
             phase_observers = phase_listeners(observers)
-            timed = bool(phase_observers)
             for shard in shards:
-                for observer in observers:
-                    observer.on_capacity(
-                        shard.capacity, 0, shard_id=shard.shard_id
-                    )
+                events.capacity(shard.capacity, 0, shard.shard_id)
+        timed = bool(phase_observers)
         result = ServingResult(
             scenario_name=scenario.name,
             rounds=0,
@@ -327,9 +327,9 @@ class ClusterRunner:
                     continue  # the autoscaler retired this pool
                 shard.set_capacity(shard.nominal_capacity * event.factor)
                 event_shards.add(shard.shard_id)
-                for observer in observers:
-                    observer.on_capacity(
-                        shard.capacity, round_index, shard_id=shard.shard_id
+                if events is not None:
+                    events.capacity(
+                        shard.capacity, round_index, shard.shard_id
                     )
             # 1b. open-ended stop condition reached: cameras stop, the
             # wait queues flush (nothing behind them will be served)
@@ -354,8 +354,8 @@ class ClusterRunner:
                 for move in moves:
                     if self._execute(move, by_id, round_index):
                         result.migrations.append(move)
-                        for observer in observers:
-                            observer.on_migrate(move, round_index)
+                        if events is not None:
+                            events.migrate(move, round_index)
                 if timed:
                     now = perf_counter()
                     for observer in phase_observers:
@@ -400,7 +400,7 @@ class ClusterRunner:
                 for action in self.autoscaler.plan(shards, round_index):
                     self._apply_scale(
                         action, shards, by_id, retired, round_index,
-                        observers, result,
+                        observers, events, result,
                     )
             round_index += 1
         result.rounds = round_index
@@ -469,7 +469,8 @@ class ClusterRunner:
         ] + [(shard, spec, "queued") for spec in shard.queue]
 
     def _apply_scale(
-        self, action, shards, by_id, retired, round_index, observers, result,
+        self, action, shards, by_id, retired, round_index, observers,
+        events, result,
     ) -> bool:
         """Apply one :class:`~repro.horizon.autoscaler.ScaleAction`.
 
@@ -479,10 +480,10 @@ class ClusterRunner:
         cannot be done safely (a live session fits on no surviving
         shard) silently drops the action instead: capacity stays as it
         was and the policy may retry later.  Observers see the applied
-        action via ``on_scale`` (fired before any mutation, with the
-        created shard ids filled in), then ``on_capacity`` for every
-        provisioned shard, then ``on_migrate`` per relocated stream,
-        then ``on_capacity(0.0)`` for every retired shard.
+        action as a ``scale`` event (published before any mutation, with
+        the created shard ids filled in), then a ``capacity`` event for
+        every provisioned shard, then ``migrate`` per relocated stream,
+        then ``capacity`` 0.0 for every retired shard.
         """
         kind = getattr(action, "kind", None)
         if kind not in ("add", "remove", "split", "merge"):
@@ -546,15 +547,13 @@ class ClusterRunner:
         )
         self._action_serial += 1
         result.scale_actions.append(applied)
-        for observer in observers:
-            observer.on_scale(applied, round_index)
+        if events is not None:
+            events.scale(applied, round_index)
         for shard in created:
             shards.append(shard)
             by_id[shard.shard_id] = shard
-            for observer in observers:
-                observer.on_capacity(
-                    shard.capacity, round_index, shard_id=shard.shard_id
-                )
+            if events is not None:
+                events.capacity(shard.capacity, round_index, shard.shard_id)
         for source, spec, move_kind, dest in plan:
             if move_kind == "active":
                 session, live_spec, admitted = source.detach(spec.name)
@@ -571,16 +570,14 @@ class ClusterRunner:
                 kind=move_kind,
             )
             result.migrations.append(move)
-            for observer in observers:
-                observer.on_migrate(move, round_index)
+            if events is not None:
+                events.migrate(move, round_index)
         for shard in sources:
             shards.remove(shard)
             del by_id[shard.shard_id]
             retired.append(shard)
-            for observer in observers:
-                observer.on_capacity(
-                    0.0, round_index, shard_id=shard.shard_id
-                )
+            if events is not None:
+                events.capacity(0.0, round_index, shard.shard_id)
         return True
 
     def _execute(

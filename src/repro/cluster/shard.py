@@ -52,8 +52,8 @@ class Shard:
     ----------
     shard_id:
         Stable name (placement and migration records refer to it);
-        ``None`` for a fleet's single pool, so hooks fire with
-        ``shard_id=None`` exactly as for an unsharded run.
+        ``None`` for a fleet's single pool, so its events carry
+        ``shard=None`` exactly as for an unsharded run.
     capacity:
         The shard's share of the cluster budget (cycles per round).
     arbiter:
@@ -64,9 +64,10 @@ class Shard:
     constraint_mode / granularity:
         Controller settings applied to every session on this shard.
     observers:
-        :class:`~repro.serving.observers.RoundObserver` instances whose
-        hooks fire with this shard's id.  The cluster runner overwrites
-        this with its own observer set at the start of every run.
+        :class:`~repro.serving.observers.RoundObserver` instances that
+        receive this shard's lifecycle events (tagged with its id).  The
+        cluster runner overwrites this with its own observer set at the
+        start of every run.
     service_classes / renegotiation:
         SLA catalog and mid-stream renegotiation policy, as on
         :class:`~repro.streams.fleet.FleetRunner` (sessions of classed
@@ -124,16 +125,19 @@ class Shard:
 
     @observers.setter
     def observers(self, value) -> None:
-        # keep the phase-timing flag in sync: the cluster runner
-        # reassigns observers at the start of every run
+        # keep the event publisher and phase-timing flag in sync: the
+        # cluster runner reassigns observers at the start of every run
         self._observers = tuple(value)
         if self._observers:
             # imported lazily — the cluster layer never depends on
-            # repro.serving at import time
+            # repro.obs or repro.serving at import time
+            from repro.obs.events import EventPublisher
             from repro.serving.observers import phase_listeners
 
+            self._events = EventPublisher(self._observers)
             self._phase_observers = phase_listeners(self._observers)
         else:
+            self._events = None
             self._phase_observers = ()
         self._timed = bool(self._phase_observers)
 
@@ -228,19 +232,19 @@ class Shard:
             return AdmissionDecision.ACCEPTED
         verdict: AdmissionVerdict = self.admission.offer(spec)
         # queue preemption: the evicted spec is finally rejected here
-        # and only here — once in the totals, one on_reject
+        # and only here — once in the totals, one reject event
         for victim in verdict.preempted:
             self.rejected.append(victim)
             self.preempted.append(victim)
-            for observer in self.observers:
-                observer.on_preempt(victim, round_index, shard_id=self.shard_id)
-                observer.on_reject(victim, round_index, shard_id=self.shard_id)
+            if self._events is not None:
+                self._events.preempt(victim, round_index, self.shard_id)
+                self._events.reject(victim, round_index, self.shard_id)
         if verdict.decision is AdmissionDecision.ACCEPTED:
             self._start(spec, round_index)
         elif verdict.decision is AdmissionDecision.REJECTED:
             self.rejected.append(spec)
-            for observer in self.observers:
-                observer.on_reject(spec, round_index, shard_id=self.shard_id)
+            if self._events is not None:
+                self._events.reject(spec, round_index, self.shard_id)
         return verdict.decision
 
     def admit_queued(self, round_index: int, force: bool = False) -> int:
@@ -286,10 +290,8 @@ class Shard:
                 self.admission.rejected_count += 1
                 self.rejected.append(spec)
                 flushed += 1
-                for observer in self.observers:
-                    observer.on_reject(
-                        spec, round_index, shard_id=self.shard_id
-                    )
+                if self._events is not None:
+                    self._events.reject(spec, round_index, self.shard_id)
         self.admission.queue.extend(kept)
         return flushed
 
@@ -310,8 +312,8 @@ class Shard:
             self.admission.rejected_count += 1
             self.rejected.append(spec)
             flushed += 1
-            for observer in self.observers:
-                observer.on_reject(spec, round_index, shard_id=self.shard_id)
+            if self._events is not None:
+                self._events.reject(spec, round_index, self.shard_id)
         return flushed
 
     def shutdown_sessions(self) -> int:
@@ -389,8 +391,8 @@ class Shard:
         self.rounds_stepped += 1
         pool = self.capacity if capacity is None else capacity
         if not self.active:
-            for observer in self.observers:
-                observer.on_round(round_index, {}, pool, shard_id=self.shard_id)
+            if self._events is not None:
+                self._events.round(round_index, {}, pool, self.shard_id)
             return 0
         self.peak_concurrency = max(self.peak_concurrency, len(self.active))
         self.demand_cycles += self.active_demand
@@ -416,16 +418,14 @@ class Shard:
                     shard_id=self.shard_id,
                 )
             t0 = now
-        for observer in self.observers:
-            observer.on_round(
-                round_index, allocations, pool, shard_id=self.shard_id
-            )
+        if self._events is not None:
+            self._events.round(round_index, allocations, pool, self.shard_id)
         if self._engine == "scalar":
             step_of = None
         else:
             # batched stepping computes every SessionStep up front; the
-            # loop below still applies bookkeeping and fires hooks in
-            # session order, so results and event logs match the
+            # loop below still applies bookkeeping and publishes events
+            # in session order, so results and event logs match the
             # scalar engine bit for bit
             from repro.engine.vectorized import step_sessions
 
@@ -438,16 +438,11 @@ class Shard:
                 if step_of is None
                 else step_of[session.stream_id]
             )
-            if step.renegotiated is not None:
+            if step.renegotiated is not None and self._events is not None:
                 old, new = step.renegotiated
-                for observer in self.observers:
-                    observer.on_renegotiate(
-                        session.stream_id,
-                        old,
-                        new,
-                        round_index,
-                        shard_id=self.shard_id,
-                    )
+                self._events.renegotiate(
+                    session.stream_id, old, new, round_index, self.shard_id
+                )
             if step.finished:
                 spec = self.spec_of.pop(session.stream_id)
                 outcome = StreamOutcome(
@@ -461,10 +456,8 @@ class Shard:
                 if self.admission is not None:
                     self.admission.release(spec.config)
                 finished += 1
-                for observer in self.observers:
-                    observer.on_depart(
-                        outcome, round_index, shard_id=self.shard_id
-                    )
+                if self._events is not None:
+                    self._events.depart(outcome, round_index, self.shard_id)
             else:
                 still_active.append(session)
         self.active = still_active
@@ -493,8 +486,8 @@ class Shard:
         self.active.append(session)
         self.spec_of[spec.name] = spec
         self.admitted_round[spec.name] = round_index
-        for observer in self.observers:
-            observer.on_admit(spec, round_index, shard_id=self.shard_id)
+        if self._events is not None:
+            self._events.admit(spec, round_index, self.shard_id)
 
     # ------------------------------------------------------------------
     # results

@@ -105,7 +105,7 @@ def step_sessions(sessions, allocations) -> dict:
     Drop-in batched replacement for the runners' per-session
     ``session.step(allocations[id])`` loop: same validation, same
     arrival/drain semantics, same :class:`SessionStep` values — the
-    caller keeps firing observer hooks from its own session loop, so
+    caller keeps publishing observer events from its own session loop, so
     event order is untouched.
     """
     lanes: list[_Lane] = []

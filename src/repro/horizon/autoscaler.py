@@ -57,8 +57,8 @@ class ScaleAction:
       the exact sum) or a single value that must equal that sum.
 
     ``created`` and ``action_id`` are filled in by the runner (via
-    ``dataclasses.replace``) immediately before the ``on_scale``
-    observers fire: ``created`` holds the ids of the shards the action
+    ``dataclasses.replace``) immediately before the ``scale`` event is
+    published: ``created`` holds the ids of the shards the action
     creates, ``action_id`` a deterministic per-run serial
     (``scale-action-<n>``) that trace records use as the causal edge
     from a migration or capacity change back to the action that forced

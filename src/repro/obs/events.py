@@ -1,18 +1,23 @@
-"""Structured lifecycle events: deterministic JSONL export + loader.
+"""The lifecycle event stream: typed records, their JSONL, and the log.
 
-:class:`StructuredEventLog` is a
-:class:`~repro.serving.observers.RoundObserver` that serializes every
-lifecycle event of a serving run — capacity declarations, per-pool
-rounds, admissions, preemptions, rejections, migrations,
-renegotiations, and departures (with each departed stream's full
-per-frame quality timeline) — into typed records that dump to
+Every lifecycle point of a serving run — capacity declarations,
+per-pool rounds, admissions, preemptions, rejections, migrations,
+renegotiations, scale actions and departures (with each departed
+stream's full per-frame quality timeline) — is one typed, frozen
+:class:`Event` record.  The runners build each record **once**, through
+an :class:`EventPublisher`, and hand that one record to every attached
+observer's ``on_event``; every observer in :mod:`repro.obs` is a fold
+over this stream.  Records carry every fact a fold reads, so a saved
+log replayed through fresh observers reproduces the live result.
+
+:class:`StructuredEventLog` collects the stream and dumps it to
 **deterministic JSONL**: one JSON object per line, sorted keys, floats
 sanitized (``NaN`` becomes ``null`` — skipped frames have no quality).
 Two identical runs produce byte-identical logs, so event logs diff
 cleanly across commits and CI uploads them as artifacts.
 
 :func:`load_events` / :func:`parse_events` round-trip a log back into
-the same record objects for offline analysis
+the same record objects for offline analysis and replay
 (``repro.analysis.report.timeline_table`` renders one as a per-round
 table).
 """
@@ -21,16 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.obs.export import canonical_line, clean_value
 from repro.serving.observers import RoundObserver
-
-#: Back-compat alias: the canonical JSON-safe copy lives in
-#: :mod:`repro.obs.export` now, shared with the trace/incident writers.
-_clean = clean_value
+from repro.streams.admission import qmin_demand
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class Event:
     kind = "event"
 
     def to_dict(self) -> dict:
-        data = _clean(asdict(self))
+        data = clean_value(asdict(self))
         data["event"] = self.kind
         return data
 
@@ -71,20 +73,26 @@ class RoundEvent(Event):
         # insertion order is runner-dependent detail; sorted keys make
         # the line (and the round trip) canonical
         data["allocations"] = {
-            k: _clean(v) for k, v in sorted(self.allocations.items())
+            k: clean_value(v) for k, v in sorted(self.allocations.items())
         }
         return data
 
 
 @dataclass(frozen=True)
 class AdmitEvent(Event):
-    """A stream was admitted and its session started."""
+    """A stream was admitted and its session started.
+
+    ``demand`` is the stream's dedicated-speed cycles per round;
+    ``qmin_demand`` is the qmin demand its admission commits (mode
+    ``"average"``), the figure the migration-headroom law books.
+    """
 
     stream: str
     service_class: str | None
     arrival_round: int
     weight: float
     demand: float
+    qmin_demand: float
     frames: int
 
     kind = "admit"
@@ -277,8 +285,103 @@ def load_events(path) -> list[Event]:
     return parse_events(Path(path).read_text())
 
 
+class EventPublisher:
+    """Builds each lifecycle record once and delivers it to every observer.
+
+    A runner holds one per attached observer set (none when no observer
+    is attached, so bare runs build no records) and calls the method
+    named after the lifecycle point.  Each method turns the runner's own
+    objects into the matching record and hands that one record to every
+    observer's ``on_event``, in list order.
+    """
+
+    def __init__(self, observers) -> None:
+        self.observers = tuple(observers)
+
+    def publish(self, event: Event) -> None:
+        for observer in self.observers:
+            observer.on_event(event)
+
+    def capacity(self, capacity, round_index, shard_id=None) -> None:
+        self.publish(CapacityEvent(
+            round=round_index, shard=shard_id, capacity=capacity,
+        ))
+
+    def round(self, round_index, allocations, capacity, shard_id=None) -> None:
+        self.publish(RoundEvent(
+            round=round_index, shard=shard_id, capacity=capacity,
+            allocations=dict(allocations),
+        ))
+
+    def admit(self, spec, round_index, shard_id=None) -> None:
+        self.publish(AdmitEvent(
+            round=round_index, shard=shard_id, stream=spec.name,
+            service_class=spec.service_class,
+            arrival_round=spec.arrival_round, weight=spec.weight,
+            demand=spec.config.period,
+            qmin_demand=qmin_demand(spec.config, "average"),
+            frames=spec.config.frames,
+        ))
+
+    def preempt(self, spec, round_index, shard_id=None) -> None:
+        self.publish(PreemptEvent(
+            round=round_index, shard=shard_id, stream=spec.name,
+            service_class=spec.service_class,
+        ))
+
+    def reject(self, spec, round_index, shard_id=None) -> None:
+        self.publish(RejectEvent(
+            round=round_index, shard=shard_id, stream=spec.name,
+            service_class=spec.service_class,
+            arrival_round=spec.arrival_round,
+        ))
+
+    def migrate(self, move, round_index) -> None:
+        self.publish(MigrateEvent(
+            round=round_index, shard=move.source, stream=move.stream_id,
+            dest=move.dest, move_kind=move.kind,
+        ))
+
+    def renegotiate(
+        self, stream_id, old_target, new_target, round_index, shard_id=None
+    ) -> None:
+        self.publish(RenegotiateEvent(
+            round=round_index, shard=shard_id, stream=stream_id,
+            old_target=old_target, new_target=new_target,
+        ))
+
+    def scale(self, action, round_index) -> None:
+        self.publish(ScaleEvent(
+            round=round_index, shard=None, action=action.kind,
+            sources=tuple(action.shards),
+            capacities=tuple(action.capacities),
+            created=tuple(action.created), reason=action.reason,
+            action_id=action.action_id,
+        ))
+
+    def depart(self, outcome, round_index, shard_id=None) -> None:
+        run = outcome.result
+        mean = run.mean_quality()
+        self.publish(DepartEvent(
+            round=round_index, shard=shard_id, stream=outcome.spec.name,
+            service_class=outcome.spec.service_class,
+            admitted_round=outcome.admitted_round,
+            frames=len(run), skips=run.skip_count,
+            deadline_misses=run.deadline_miss_count,
+            renegotiations=outcome.renegotiations,
+            mean_quality=None if math.isnan(mean) else float(mean),
+            # single pure-python pass: at typical timeline lengths the
+            # fixed cost of a numpy round trip (array + isnan + tolist)
+            # exceeds per-element float() conversion
+            quality_timeline=tuple(
+                None if q != q else q
+                for q in (float(f.mean_quality) for f in run.frames)
+            ),
+        ))
+
+
 class StructuredEventLog(RoundObserver):
-    """Collects every lifecycle event; optionally streams JSONL to disk.
+    """Collects the event stream; optionally streams JSONL to disk.
 
     Parameters
     ----------
@@ -287,7 +390,7 @@ class StructuredEventLog(RoundObserver):
         as it happens (crash-tolerant logs); :meth:`close` flushes and
         closes the handle (:func:`repro.serve` calls it at run end).
     timelines:
-        Include per-frame quality timelines in depart events (the bulky
+        Keep per-frame quality timelines in depart events (the bulky
         part; disable for long-horizon runs where the per-stream mean
         is enough).
     """
@@ -298,101 +401,27 @@ class StructuredEventLog(RoundObserver):
         self.timelines = timelines
         self._handle = None
 
-    # ------------------------------------------------------------------
+    def on_event(self, event: Event) -> None:
+        # alerts are derived: an SloObserver with this log as its sink
+        # records them, so a replayed log never doubles them
+        if event.kind == "alert":
+            return
+        if not self.timelines and event.kind == "depart":
+            event = replace(event, quality_timeline=())
+        self.record(event)
 
-    def _emit(self, event: Event) -> None:
+    def record(self, event: Event) -> None:
+        """Append one record as is (an observer that derives events —
+        :class:`~repro.obs.slo.SloObserver`'s alerts — interleaves them
+        here at their deterministic position)."""
         self.events.append(event)
         if self.path is not None:
             if self._handle is None:
-                self._handle = open(self.path, "w")
+                # a record after close (an alert the SLO observer flushes
+                # at run end) appends: reopening must never truncate
+                mode = "w" if len(self.events) == 1 else "a"
+                self._handle = open(self.path, mode)
             self._handle.write(event_to_line(event) + "\n")
-
-    def record(self, event: Event) -> None:
-        """Append one externally produced record (an observer that
-        derives events — :class:`~repro.obs.slo.SloObserver`'s alerts —
-        interleaves them here at their deterministic position)."""
-        self._emit(event)
-
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        self._emit(CapacityEvent(
-            round=round_index, shard=shard_id, capacity=capacity,
-        ))
-
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        self._emit(RoundEvent(
-            round=round_index, shard=shard_id, capacity=capacity,
-            allocations=dict(allocations),
-        ))
-
-    def on_admit(self, spec, round_index, shard_id=None):
-        self._emit(AdmitEvent(
-            round=round_index, shard=shard_id, stream=spec.name,
-            service_class=spec.service_class,
-            arrival_round=spec.arrival_round, weight=spec.weight,
-            demand=spec.config.period, frames=spec.config.frames,
-        ))
-
-    def on_preempt(self, spec, round_index, shard_id=None):
-        self._emit(PreemptEvent(
-            round=round_index, shard=shard_id, stream=spec.name,
-            service_class=spec.service_class,
-        ))
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        self._emit(RejectEvent(
-            round=round_index, shard=shard_id, stream=spec.name,
-            service_class=spec.service_class,
-            arrival_round=spec.arrival_round,
-        ))
-
-    def on_migrate(self, move, round_index):
-        self._emit(MigrateEvent(
-            round=round_index, shard=move.source, stream=move.stream_id,
-            dest=move.dest, move_kind=move.kind,
-        ))
-
-    def on_renegotiate(
-        self, stream_id, old_target, new_target, round_index, shard_id=None
-    ):
-        self._emit(RenegotiateEvent(
-            round=round_index, shard=shard_id, stream=stream_id,
-            old_target=old_target, new_target=new_target,
-        ))
-
-    def on_scale(self, action, round_index):
-        self._emit(ScaleEvent(
-            round=round_index, shard=None, action=action.kind,
-            sources=tuple(action.shards),
-            capacities=tuple(action.capacities),
-            created=tuple(action.created), reason=action.reason,
-            action_id=action.action_id,
-        ))
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        run = outcome.result
-        mean = run.mean_quality()
-        if self.timelines:
-            # single pure-python pass: at typical timeline lengths the
-            # fixed cost of a numpy round trip (array + isnan + tolist)
-            # exceeds per-element float() conversion
-            timeline = tuple(
-                None if q != q else q
-                for q in (float(f.mean_quality) for f in run.frames)
-            )
-        else:
-            timeline = ()
-        self._emit(DepartEvent(
-            round=round_index, shard=shard_id, stream=outcome.spec.name,
-            service_class=outcome.spec.service_class,
-            admitted_round=outcome.admitted_round,
-            frames=len(run), skips=run.skip_count,
-            deadline_misses=run.deadline_miss_count,
-            renegotiations=outcome.renegotiations,
-            mean_quality=None if math.isnan(mean) else float(mean),
-            quality_timeline=timeline,
-        ))
-
-    # ------------------------------------------------------------------
 
     def to_jsonl(self) -> str:
         """The collected stream as deterministic JSONL text."""

@@ -1,9 +1,10 @@
 """The runtime invariant ledger: named, machine-checked serving laws.
 
 Every guarantee the serving stack's tests assert post-hoc becomes a
-named :class:`Invariant` checked **live** against the observer hook
-stream, so any run — including future engine refactors — can execute
-under a safety harness:
+named :class:`Invariant`, a fold over the lifecycle event stream that
+declares the event kinds it reads, checked **live** — so any run,
+including future engine refactors, can execute under a safety harness
+— or offline, over a saved event log:
 
 * ``grant-conservation`` — on every busy round the arbiter's grants
   are non-negative and sum exactly to the arbitrated pool;
@@ -38,10 +39,10 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.obs.events import EVENT_TYPES
 from repro.serving.observers import RoundObserver
 from repro.serving.registry import PolicyRegistry
 from repro.sla.classes import resolve_classes
-from repro.streams.admission import qmin_demand
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,21 @@ class InvariantViolationError(AssertionError):
         self.violation = violation
 
 
-class Invariant(RoundObserver):
-    """One named serving law, checked against the hook stream.
+class Invariant:
+    """One named serving law, folded over the event stream.
 
-    Subclasses override the lifecycle hooks they need and call
-    :meth:`violation` when the law breaks; ``finalize`` runs once at
-    the end of a completed run for whole-run accounting.  Instances are
-    single-run: the owning :class:`InvariantObserver` builds fresh ones.
+    Subclasses declare the event ``kinds`` they fold, implement
+    :meth:`on_event` for those kinds and call :meth:`violation` when the
+    law breaks; ``finalize`` runs once at the end of a completed run for
+    whole-run accounting.  Instances are single-run: the owning
+    :class:`InvariantObserver` builds fresh ones.
     """
 
     name = "invariant"
     description = ""
+    #: the event kinds :meth:`on_event` folds (the owning observer
+    #: delivers only these)
+    kinds: tuple = ()
 
     def __init__(self) -> None:
         self._emit = None
@@ -105,9 +110,12 @@ class Invariant(RoundObserver):
     def is_active(self) -> bool:
         """Whether the law has anything to check on this run (called
         after the owning observer injects ``classes``/``slos``; an
-        inactive law is skipped by hook dispatch but still listed in
-        the ledger)."""
+        inactive law is skipped by dispatch but still listed in the
+        ledger)."""
         return True
+
+    def on_event(self, event) -> None:
+        """Fold one event of a kind listed in :attr:`kinds`."""
 
     def finalize(self) -> None:
         """End-of-run accounting (run by ``InvariantObserver.close``)."""
@@ -123,24 +131,25 @@ class GrantConservation(Invariant):
 
     name = "grant-conservation"
     description = "busy-round grants are >= 0 and sum to the pool"
+    kinds = ("round",)
     rel_tol = 1e-6
 
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        if not allocations:
+    def on_event(self, event):
+        if not event.allocations:
             return
+        capacity = event.capacity
         total = 0.0
-        for stream_id, grant in allocations.items():
+        for stream_id, grant in event.allocations.items():
             total += grant
             if grant < -self.rel_tol * capacity:
                 self.violation(
-                    f"negative grant {grant!r}",
-                    round_index=round_index, shard_id=shard_id,
+                    f"negative grant {grant!r}", event.round, event.shard,
                     stream_id=stream_id,
                 )
         if not math.isclose(total, capacity, rel_tol=self.rel_tol):
             self.violation(
                 f"grants sum to {total!r}, pool is {capacity!r}",
-                round_index=round_index, shard_id=shard_id,
+                event.round, event.shard,
             )
 
 
@@ -153,6 +162,7 @@ class ClassFloors(Invariant):
 
     name = "class-floors"
     description = "renegotiated targets stay within [class floor, 1]"
+    kinds = ("admit", "renegotiate")
     abs_tol = 1e-9
 
     def __init__(self) -> None:
@@ -160,37 +170,29 @@ class ClassFloors(Invariant):
         self._floor_of: dict[str, float] = {}
         self._catalog = None
 
-    def on_admit(self, spec, round_index, shard_id=None):
-        if spec.service_class is None:
+    def on_event(self, event):
+        if event.kind == "admit":
+            if event.service_class is None:
+                return
+            if self._catalog is None:
+                self._catalog = resolve_classes(self.classes)
+            cls = self._catalog.get(event.service_class)
+            # unknown classes are the runner's ConfigurationError, not ours
+            if cls is not None:
+                self._floor_of[event.stream] = cls.min_quality
             return
-        if self._catalog is None:
-            self._catalog = resolve_classes(self.classes)
-        cls = self._catalog.get(spec.service_class)
-        # unknown classes are the runner's ConfigurationError, not ours
-        if cls is not None:
-            self._floor_of[spec.name] = cls.min_quality
-
-    def on_renegotiate(
-        self, stream_id, old_target, new_target, round_index, shard_id=None
-    ):
-        if new_target == old_target:
+        at = (event.round, event.shard, event.stream)
+        new_target = event.new_target
+        if new_target == event.old_target:
             self.violation(
-                f"no-op renegotiation at target {new_target!r}",
-                round_index=round_index, shard_id=shard_id,
-                stream_id=stream_id,
+                f"no-op renegotiation at target {new_target!r}", *at
             )
         if not 0.0 <= new_target <= 1.0:
-            self.violation(
-                f"target {new_target!r} outside [0, 1]",
-                round_index=round_index, shard_id=shard_id,
-                stream_id=stream_id,
-            )
-        floor = self._floor_of.get(stream_id)
+            self.violation(f"target {new_target!r} outside [0, 1]", *at)
+        floor = self._floor_of.get(event.stream)
         if floor is not None and new_target < floor - self.abs_tol:
             self.violation(
-                f"target {new_target!r} below class floor {floor!r}",
-                round_index=round_index, shard_id=shard_id,
-                stream_id=stream_id,
+                f"target {new_target!r} below class floor {floor!r}", *at
             )
 
 
@@ -206,6 +208,7 @@ class ExactlyOnceRejection(Invariant):
 
     name = "exactly-once-rejection"
     description = "admit/reject/preempt/depart accounting is exactly-once"
+    kinds = ("admit", "reject", "preempt", "depart")
 
     def __init__(self) -> None:
         super().__init__()
@@ -214,54 +217,34 @@ class ExactlyOnceRejection(Invariant):
         self._departed: set[str] = set()
         self._preempted: set[str] = set()
 
-    def on_admit(self, spec, round_index, shard_id=None):
-        if spec.name in self._admitted:
-            self.violation(
-                "admitted twice", round_index=round_index,
-                shard_id=shard_id, stream_id=spec.name,
-            )
-        if spec.name in self._rejected:
-            self.violation(
-                "admitted after rejection", round_index=round_index,
-                shard_id=shard_id, stream_id=spec.name,
-            )
-        self._admitted.add(spec.name)
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        if spec.name in self._rejected:
-            self.violation(
-                "rejected twice", round_index=round_index,
-                shard_id=shard_id, stream_id=spec.name,
-            )
-        if spec.name in self._admitted:
-            self.violation(
-                "rejected after admission", round_index=round_index,
-                shard_id=shard_id, stream_id=spec.name,
-            )
-        self._rejected.add(spec.name)
-
-    def on_preempt(self, spec, round_index, shard_id=None):
-        if spec.name in self._admitted:
-            self.violation(
-                "preempted while active (only queued specs may be "
-                "preempted)", round_index=round_index,
-                shard_id=shard_id, stream_id=spec.name,
-            )
-        self._preempted.add(spec.name)
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        name = outcome.spec.name
-        if name in self._departed:
-            self.violation(
-                "departed twice", round_index=round_index,
-                shard_id=shard_id, stream_id=name,
-            )
-        if name not in self._admitted:
-            self.violation(
-                "departed without admission", round_index=round_index,
-                shard_id=shard_id, stream_id=name,
-            )
-        self._departed.add(name)
+    def on_event(self, event):
+        kind, name = event.kind, event.stream
+        at = (event.round, event.shard, name)
+        if kind == "admit":
+            if name in self._admitted:
+                self.violation("admitted twice", *at)
+            if name in self._rejected:
+                self.violation("admitted after rejection", *at)
+            self._admitted.add(name)
+        elif kind == "reject":
+            if name in self._rejected:
+                self.violation("rejected twice", *at)
+            if name in self._admitted:
+                self.violation("rejected after admission", *at)
+            self._rejected.add(name)
+        elif kind == "preempt":
+            if name in self._admitted:
+                self.violation(
+                    "preempted while active (only queued specs may be "
+                    "preempted)", *at,
+                )
+            self._preempted.add(name)
+        else:
+            if name in self._departed:
+                self.violation("departed twice", *at)
+            if name not in self._admitted:
+                self.violation("departed without admission", *at)
+            self._departed.add(name)
 
     def finalize(self) -> None:
         for name in sorted(self._preempted - self._rejected):
@@ -279,90 +262,85 @@ class MigrationHeadroom(Invariant):
     """Migrations keep their feasibility claims and residency honest.
 
     Tracks each stream's resident pool and every pool's committed qmin
-    demand (mode ``"average"`` — a lower bound on what any admission
-    gate actually committed, so the check never false-positives).  A
-    capacity drop may legitimately leave a pool overcommitted, so the
-    fit check runs only when a *move* makes a fresh headroom claim.
+    demand (the admit event's ``qmin_demand``, mode ``"average"`` — a
+    lower bound on what any admission gate actually committed, so the
+    check never false-positives).  A capacity drop may legitimately
+    leave a pool overcommitted, so the fit check runs only when a
+    *move* makes a fresh headroom claim.
     """
 
     name = "migration-headroom"
     description = "post-move committed qmin demand fits the dest's capacity"
+    kinds = ("capacity", "admit", "depart", "migrate")
     rel_tol = 1e-9
-    mode = "average"
 
     def __init__(self) -> None:
         super().__init__()
         self._capacity: dict = {}
         self._committed: dict = {}
+        #: stream -> (resident pool, committed qmin demand)
         self._resident: dict[str, tuple] = {}
 
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        self._capacity[shard_id] = capacity
+    def on_event(self, event):
+        kind = event.kind
+        if kind == "capacity":
+            self._capacity[event.shard] = event.capacity
+        elif kind == "admit":
+            self._resident[event.stream] = (event.shard, event.qmin_demand)
+            self._committed[event.shard] = (
+                self._committed.get(event.shard, 0.0) + event.qmin_demand
+            )
+        elif kind == "depart":
+            self._depart(event)
+        else:
+            self._migrate(event)
 
-    def on_admit(self, spec, round_index, shard_id=None):
-        self._resident[spec.name] = (shard_id, spec.config)
-        self._committed[shard_id] = (
-            self._committed.get(shard_id, 0.0)
-            + qmin_demand(spec.config, self.mode)
-        )
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        name = outcome.spec.name
+    def _depart(self, event) -> None:
+        name, shard_id = event.stream, event.shard
         resident = self._resident.pop(name, None)
         if resident is None:
             return  # exactly-once-rejection owns that complaint
-        home, config = resident
+        home, demand = resident
         if home != shard_id:
             self.violation(
                 f"departed from {shard_id!r} but resident on {home!r}",
-                round_index=round_index, shard_id=shard_id, stream_id=name,
+                event.round, shard_id, name,
             )
             home = shard_id
-        self._committed[home] = (
-            self._committed.get(home, 0.0) - qmin_demand(config, self.mode)
-        )
+        self._committed[home] = self._committed.get(home, 0.0) - demand
 
-    def on_migrate(self, move, round_index):
-        if move.source == move.dest:
+    def _migrate(self, event) -> None:
+        source, dest, stream = event.shard, event.dest, event.stream
+        if source == dest:
             self.violation(
                 "move with identical source and destination",
-                round_index=round_index, shard_id=move.source,
-                stream_id=move.stream_id,
+                event.round, source, stream,
             )
             return
-        if move.kind == "active":
-            resident = self._resident.get(move.stream_id)
-            if resident is None or resident[0] != move.source:
+        if event.move_kind == "active":
+            resident = self._resident.get(stream)
+            if resident is None or resident[0] != source:
                 home = resident[0] if resident else None
                 self.violation(
-                    f"active move from {move.source!r} but the stream "
-                    f"is resident on {home!r}",
-                    round_index=round_index, shard_id=move.source,
-                    stream_id=move.stream_id,
+                    f"active move from {source!r} but the stream "
+                    f"is resident on {home!r}", event.round, source, stream,
                 )
                 return
-            _, config = resident
-            demand = qmin_demand(config, self.mode)
-            self._committed[move.source] = (
-                self._committed.get(move.source, 0.0) - demand
+            _, demand = resident
+            self._committed[source] = (
+                self._committed.get(source, 0.0) - demand
             )
-            self._committed[move.dest] = (
-                self._committed.get(move.dest, 0.0) + demand
-            )
-            self._resident[move.stream_id] = (move.dest, config)
-        self._check_fit(move, round_index)
-
-    def _check_fit(self, move, round_index) -> None:
-        capacity = self._capacity.get(move.dest)
+            self._committed[dest] = self._committed.get(dest, 0.0) + demand
+            self._resident[stream] = (dest, demand)
+        capacity = self._capacity.get(dest)
         if capacity is None:
-            return  # no on_capacity seen (hand-wired run): nothing to claim
-        committed = self._committed.get(move.dest, 0.0)
+            return  # no capacity declared (hand-fed stream): no claim
+        committed = self._committed.get(dest, 0.0)
         if committed > capacity * (1.0 + self.rel_tol):
             self.violation(
                 f"committed qmin demand {committed!r} exceeds "
-                f"destination capacity {capacity!r} after {move.kind} move",
-                round_index=round_index, shard_id=move.dest,
-                stream_id=move.stream_id,
+                f"destination capacity {capacity!r} after "
+                f"{event.move_kind} move", event.round, dest, stream,
             )
 
 
@@ -372,14 +350,14 @@ class ScaleConservation(Invariant):
     The autoscaler contract (PR-9): every :class:`ScaleAction
     <repro.horizon.autoscaler.ScaleAction>` the runner applies must
 
-    * reference shards the ledger knows (by their last ``on_capacity``
+    * reference shards the ledger knows (by their last ``capacity``
       declaration);
     * conserve capacity *exactly* for ``split`` (the parts sum to the
       source) and ``merge`` (the merged shard gets the sources' sum);
-    * pre-announce every shard it creates (``action.created``) and
-      retires, and follow up with matching ``on_capacity`` declarations
-      — created shards at their exact capacity, retired shards at zero
-      — before the next round or scale action.
+    * pre-announce every shard it creates (``created``) and retires,
+      and follow up with matching ``capacity`` declarations — created
+      shards at their exact capacity, retired shards at zero — before
+      the next round or scale action.
 
     Anything else — a shard resized without a declaration, a split that
     leaks cycles, a created shard that never shows up — is a silent
@@ -388,6 +366,7 @@ class ScaleConservation(Invariant):
 
     name = "scale-conservation"
     description = "scale actions conserve declared capacity exactly"
+    kinds = ("round", "scale", "capacity")
     rel_tol = 1e-9
     abs_tol = 1e-6
 
@@ -401,67 +380,73 @@ class ScaleConservation(Invariant):
         for shard_id, expected in sorted(self._pending.items()):
             self.violation(
                 f"scale action promised a capacity declaration of "
-                f"{expected!r} that never arrived",
-                round_index=round_index, shard_id=shard_id,
+                f"{expected!r} that never arrived", round_index, shard_id,
             )
         self._pending.clear()
 
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        if self._pending:
-            self._drain_pending(round_index)
+    def on_event(self, event):
+        kind = event.kind
+        if kind == "round":
+            if self._pending:
+                self._drain_pending(event.round)
+        elif kind == "scale":
+            self._scale(event)
+        else:
+            self._declared(event)
 
-    def on_scale(self, action, round_index):
+    def _scale(self, event) -> None:
         if self._pending:
-            self._drain_pending(round_index)
-        for shard_id in action.shards:
+            self._drain_pending(event.round)
+        action, sources = event.action, event.sources
+        for shard_id in sources:
             if shard_id not in self._capacity:
                 self.violation(
-                    f"{action.kind} references unknown shard",
-                    round_index=round_index, shard_id=shard_id,
+                    f"{action} references unknown shard", event.round,
+                    shard_id,
                 )
                 return
-        if action.kind == "split":
-            source = self._capacity[action.shards[0]]
+        if action == "split":
+            source = self._capacity[sources[0]]
             if not math.isclose(
-                sum(action.capacities), source,
+                sum(event.capacities), source,
                 rel_tol=self.rel_tol, abs_tol=self.abs_tol,
             ):
                 self.violation(
-                    f"split parts sum to {sum(action.capacities)!r}, "
-                    f"source capacity is {source!r}",
-                    round_index=round_index, shard_id=action.shards[0],
+                    f"split parts sum to {sum(event.capacities)!r}, "
+                    f"source capacity is {source!r}", event.round,
+                    sources[0],
                 )
-        merged = sum(self._capacity[s] for s in action.shards)
-        if action.kind == "merge" and action.capacities:
+        merged = sum(self._capacity[s] for s in sources)
+        if action == "merge" and event.capacities:
             if not math.isclose(
-                action.capacities[0], merged,
+                event.capacities[0], merged,
                 rel_tol=self.rel_tol, abs_tol=self.abs_tol,
             ):
                 self.violation(
-                    f"merge declares {action.capacities[0]!r}, sources "
-                    f"sum to {merged!r}",
-                    round_index=round_index, shard_id=action.shards[0],
+                    f"merge declares {event.capacities[0]!r}, sources "
+                    f"sum to {merged!r}", event.round, sources[0],
                 )
         expected_created = {
-            "add": list(action.capacities),
-            "split": list(action.capacities),
+            "add": list(event.capacities),
+            "split": list(event.capacities),
             "merge": [merged],
             "remove": [],
-        }[action.kind]
-        if len(action.created) != len(expected_created):
+        }[action]
+        if len(event.created) != len(expected_created):
             self.violation(
-                f"{action.kind} creates {len(expected_created)} "
-                f"shard(s) but announced {len(action.created)}",
-                round_index=round_index,
+                f"{action} creates {len(expected_created)} "
+                f"shard(s) but announced {len(event.created)}",
+                event.round,
             )
             return
-        for shard_id, capacity in zip(action.created, expected_created):
+        for shard_id, capacity in zip(event.created, expected_created):
             self._pending[shard_id] = capacity
-        if action.kind in ("remove", "split", "merge"):
-            for shard_id in action.shards:
+        if action in ("remove", "split", "merge"):
+            for shard_id in sources:
                 self._pending[shard_id] = 0.0
 
-    def on_capacity(self, capacity, round_index, shard_id=None):
+    def _declared(self, event) -> None:
+        shard_id, capacity = event.shard, event.capacity
         if shard_id in self._pending:
             expected = self._pending.pop(shard_id)
             if not math.isclose(
@@ -470,8 +455,7 @@ class ScaleConservation(Invariant):
             ):
                 self.violation(
                     f"declared capacity {capacity!r}, scale action "
-                    f"promised {expected!r}",
-                    round_index=round_index, shard_id=shard_id,
+                    f"promised {expected!r}", event.round, shard_id,
                 )
             if expected == 0.0:
                 self._capacity.pop(shard_id, None)
@@ -499,6 +483,7 @@ class PacingDegrade(Invariant):
 
     name = "pacing-degrade"
     description = "renegotiation steps are bounded and never flutter"
+    kinds = ("renegotiate",)
     max_step = 0.35
     min_gap = 2
 
@@ -507,19 +492,17 @@ class PacingDegrade(Invariant):
         #: stream -> (last step round, direction, last flip was quick)
         self._last: dict[str, tuple[int, int, bool]] = {}
 
-    def on_renegotiate(
-        self, stream_id, old_target, new_target, round_index, shard_id=None
-    ):
-        step = new_target - old_target
+    def on_event(self, event):
+        stream, round_index = event.stream, event.round
+        at = (round_index, event.shard, stream)
+        step = event.new_target - event.old_target
         if abs(step) > self.max_step + 1e-9:
             self.violation(
                 f"step {step:+.3f} exceeds the pacing bound "
-                f"{self.max_step}",
-                round_index=round_index, shard_id=shard_id,
-                stream_id=stream_id,
+                f"{self.max_step}", *at,
             )
         direction = 1 if step > 0 else -1
-        last = self._last.get(stream_id)
+        last = self._last.get(stream)
         quick_flip = (
             last is not None
             and last[1] != direction
@@ -530,11 +513,9 @@ class PacingDegrade(Invariant):
                 f"second direction flip in a row within {self.min_gap} "
                 f"round(s) ({last[1]:+d} -> {direction:+d} after "
                 f"{round_index - last[0]} round(s)) — the target is "
-                "oscillating, not degrading gracefully",
-                round_index=round_index, shard_id=shard_id,
-                stream_id=stream_id,
+                "oscillating, not degrading gracefully", *at,
             )
-        self._last[stream_id] = (round_index, direction, quick_flip)
+        self._last[stream] = (round_index, direction, quick_flip)
 
 
 class PacingScaleCooldown(Invariant):
@@ -552,6 +533,7 @@ class PacingScaleCooldown(Invariant):
 
     name = "pacing-scale-cooldown"
     description = "scale actions are spaced; no scale-up into a fresh dip"
+    kinds = ("scale", "capacity")
     min_action_gap = 8
     dip_settle = 8
 
@@ -562,7 +544,20 @@ class PacingScaleCooldown(Invariant):
         self._last_action: int | None = None
         self._last_dip: int | None = None
 
-    def on_scale(self, action, round_index):
+    def on_event(self, event):
+        round_index = event.round
+        if event.kind == "capacity":
+            shard_id, capacity = event.shard, event.capacity
+            previous = self._capacity.get(shard_id)
+            if shard_id in self._scaling:
+                self._scaling.discard(shard_id)
+            elif previous is not None and 0.0 < capacity < previous:
+                self._last_dip = round_index
+            if capacity <= 0.0:
+                self._capacity.pop(shard_id, None)
+            else:
+                self._capacity[shard_id] = capacity
+            return
         if (
             self._last_action is not None
             and round_index - self._last_action < self.min_action_gap
@@ -570,44 +565,32 @@ class PacingScaleCooldown(Invariant):
             self.violation(
                 f"scale action only {round_index - self._last_action} "
                 f"round(s) after the previous one (min gap "
-                f"{self.min_action_gap})",
-                round_index=round_index,
+                f"{self.min_action_gap})", round_index,
             )
         if (
-            action.kind in ("add", "split")
+            event.action in ("add", "split")
             and self._last_dip is not None
             and round_index - self._last_dip < self.dip_settle
         ):
             self.violation(
-                f"{action.kind} within {round_index - self._last_dip} "
+                f"{event.action} within {round_index - self._last_dip} "
                 f"round(s) of a capacity dip (settle window "
-                f"{self.dip_settle})",
-                round_index=round_index,
+                f"{self.dip_settle})", round_index,
             )
         self._last_action = round_index
         # declarations triggered by this action are provisioning, not
         # dips — remember who is about to re-declare
-        self._scaling.update(action.shards)
-        self._scaling.update(action.created)
-
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        previous = self._capacity.get(shard_id)
-        if shard_id in self._scaling:
-            self._scaling.discard(shard_id)
-        elif previous is not None and 0.0 < capacity < previous:
-            self._last_dip = round_index
-        if capacity <= 0.0:
-            self._capacity.pop(shard_id, None)
-        else:
-            self._capacity[shard_id] = capacity
+        self._scaling.update(event.sources)
+        self._scaling.update(event.created)
 
 
 class SloBudgetConservation(Invariant):
     """The SLO engine's books balance, and alerts never double-fire.
 
-    Runs its own :class:`~repro.obs.slo.SloTracker` per declared
-    objective (``slos`` is injected by the owning observer; without a
-    declaration the law is inert) and checks two accounts every round:
+    Runs its own :class:`~repro.obs.slo.SloObserver` (``slos`` is
+    injected by the owning observer; without a declaration the law is
+    inert), hands it every event the SLO fold reads, and checks two
+    accounts after each:
 
     * **conservation** — the budget accrued incrementally (one
       ``1 - target`` credit per unit) equals consumed (the bad-unit
@@ -621,67 +604,59 @@ class SloBudgetConservation(Invariant):
 
     name = "slo-budget-conservation"
     description = "budget accrued == consumed + remaining; one alert per episode"
+    kinds = ("round", "capacity", "admit", "reject", "depart")
     rel_tol = 1e-9
     abs_tol = 1e-6
 
     def __init__(self) -> None:
         super().__init__()
-        self._trackers = None
+        self._slo_observer = None
         self._last_state: dict[str, str | None] = {}
         self._seen_alerts = 0
 
     def is_active(self) -> bool:
         return self.slos is not None
 
-    def _ensure(self):
-        if self._trackers is None:
-            # deferred: repro.obs.slo imports nothing from this module,
-            # but building at first hook lets the owning observer
-            # inject ``slos``/``classes`` after construction
+    def _slo(self):
+        if self._slo_observer is None:
+            # deferred: built at the first event, so the owning observer
+            # can inject ``slos``/``classes`` after construction
             from repro.obs.slo import SloObserver
 
-            if self.slos is None:
-                self._trackers = {}
-            else:
-                mirror = SloObserver(self.slos, classes=self.classes)
-                self._trackers = mirror.trackers
-                self._mirror = mirror
-        return self._trackers
+            self._slo_observer = SloObserver(self.slos, classes=self.classes)
+        return self._slo_observer
 
-    def _advance(self, round_index) -> None:
-        if self._ensure():
-            self._mirror._advance(round_index)
-            self._drain(round_index)
+    def on_event(self, event):
+        if self.is_active():
+            self._slo().on_event(event)
+            self._audit(event.round)
 
-    def _drain(self, round_index) -> None:
-        # every tracker advance flows through the mirror observer, so
-        # its alert stream is the single complete transition record —
-        # the mirror's own hooks advance trackers internally, and
-        # transitions consumed there would be invisible to a direct
-        # ``advance_to`` call here
-        alerts = self._mirror.alerts
+    def _audit(self, round_index) -> None:
+        # the private observer's alert list is the single complete
+        # transition record: every tracker advance flows through it
+        slo = self._slo()
+        alerts = slo.alerts
         while self._seen_alerts < len(alerts):
-            event = alerts[self._seen_alerts]
+            alert = alerts[self._seen_alerts]
             self._seen_alerts += 1
-            name, state = event.slo, event.state
+            name, state = alert.slo, alert.state
             last = self._last_state.get(name)
             if state == "firing" and last == "firing":
                 self.violation(
                     f"slo {name!r}: alert fired twice without a "
                     f"resolution between (burn episodes fire exactly "
-                    f"once)", round_index=event.round,
+                    f"once)", alert.round,
                 )
             if state == "resolved" and last != "firing":
                 self.violation(
                     f"slo {name!r}: resolution without a preceding "
-                    f"alert", round_index=event.round,
+                    f"alert", alert.round,
                 )
             self._last_state[name] = state
-        for name in self._trackers:
-            self._conserved(name, round_index)
+        for name, tracker in slo.trackers.items():
+            self._conserved(name, tracker, round_index)
 
-    def _conserved(self, name, round_index) -> None:
-        tracker = self._trackers[name]
+    def _conserved(self, name, tracker, round_index) -> None:
         accrued = tracker.budget_units
         consumed = float(tracker.bad_units)
         remaining = tracker.remaining_units
@@ -690,42 +665,19 @@ class SloBudgetConservation(Invariant):
         if abs(accrued - (consumed + remaining)) > tol:
             self.violation(
                 f"slo {name!r}: budget accrued {accrued!r} != consumed "
-                f"{consumed!r} + remaining {remaining!r}",
-                round_index=round_index,
+                f"{consumed!r} + remaining {remaining!r}", round_index,
             )
         if abs(accrued - closed_form) > tol:
             self.violation(
                 f"slo {name!r}: budget accrued {accrued!r} drifted from "
                 f"{tracker.units} units * (1 - {tracker.spec.target}) "
-                f"= {closed_form!r}", round_index=round_index,
+                f"= {closed_form!r}", round_index,
             )
 
-    # mirror the SLO observer's unit recording exactly
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        self._advance(round_index)
-
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        self._advance(round_index)
-
-    def on_admit(self, spec, round_index, shard_id=None):
-        if self._ensure():
-            self._mirror.on_admit(spec, round_index, shard_id)
-            self._drain(round_index)
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        if self._ensure():
-            self._mirror.on_reject(spec, round_index, shard_id)
-            self._drain(round_index)
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        if self._ensure():
-            self._mirror.on_depart(outcome, round_index, shard_id)
-            self._drain(round_index)
-
     def finalize(self) -> None:
-        if self._ensure():
-            self._mirror.close()
-            self._drain(None)
+        if self.is_active():
+            self._slo().close()
+            self._audit(None)
 
 
 #: Named invariants, the ledger's registry (a standard policy family).
@@ -792,23 +744,15 @@ class InvariantObserver(RoundObserver):
             invariant.slos = slos
             invariant.bind(self._record)
             self.invariants.append(invariant)
-        # per-hook dispatch lists, resolved once: most laws watch two
-        # or three hooks, so fanning every hook out to every invariant
-        # (and through every default no-op) was the observer's main
-        # cost on the overhead bench.  Inactive laws (is_active false —
-        # e.g. the budget law without declared SLOs) skip dispatch
-        # entirely but stay in the ledger.
+        # per-kind dispatch lists, resolved once: most laws fold two or
+        # three kinds, so fanning every event out to every invariant
+        # was the observer's main cost on the overhead bench.  Inactive
+        # laws (is_active false — e.g. the budget law without declared
+        # SLOs) skip dispatch entirely but stay in the ledger.
         active = [inv for inv in self.invariants if inv.is_active()]
-        self._hooked = {
-            hook: [
-                inv for inv in active
-                if getattr(type(inv), hook) is not getattr(RoundObserver, hook)
-            ]
-            for hook in (
-                "on_round", "on_admit", "on_reject", "on_preempt",
-                "on_migrate", "on_renegotiate", "on_depart",
-                "on_capacity", "on_scale",
-            )
+        self._by_kind = {
+            kind: [inv for inv in active if kind in inv.kinds]
+            for kind in EVENT_TYPES
         }
 
     def _record(self, violation: Violation) -> None:
@@ -816,49 +760,9 @@ class InvariantObserver(RoundObserver):
         if self.enforce:
             raise InvariantViolationError(violation)
 
-    # ------------------------------------------------------------------
-    # dispatch each hook to the invariants that override it
-    # ------------------------------------------------------------------
-
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        for invariant in self._hooked["on_round"]:
-            invariant.on_round(round_index, allocations, capacity, shard_id)
-
-    def on_admit(self, spec, round_index, shard_id=None):
-        for invariant in self._hooked["on_admit"]:
-            invariant.on_admit(spec, round_index, shard_id)
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        for invariant in self._hooked["on_reject"]:
-            invariant.on_reject(spec, round_index, shard_id)
-
-    def on_preempt(self, spec, round_index, shard_id=None):
-        for invariant in self._hooked["on_preempt"]:
-            invariant.on_preempt(spec, round_index, shard_id)
-
-    def on_migrate(self, move, round_index):
-        for invariant in self._hooked["on_migrate"]:
-            invariant.on_migrate(move, round_index)
-
-    def on_renegotiate(
-        self, stream_id, old_target, new_target, round_index, shard_id=None
-    ):
-        for invariant in self._hooked["on_renegotiate"]:
-            invariant.on_renegotiate(
-                stream_id, old_target, new_target, round_index, shard_id
-            )
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        for invariant in self._hooked["on_depart"]:
-            invariant.on_depart(outcome, round_index, shard_id)
-
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        for invariant in self._hooked["on_capacity"]:
-            invariant.on_capacity(capacity, round_index, shard_id)
-
-    def on_scale(self, action, round_index):
-        for invariant in self._hooked["on_scale"]:
-            invariant.on_scale(action, round_index)
+    def on_event(self, event):
+        for invariant in self._by_kind[event.kind]:
+            invariant.on_event(event)
 
     # ------------------------------------------------------------------
 

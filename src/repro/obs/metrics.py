@@ -1,6 +1,6 @@
 """Windowed serving metrics: counters, gauges, histograms, tumbling windows.
 
-:class:`TelemetryObserver` turns the runners' lifecycle hooks into the
+:class:`TelemetryObserver` folds the runners' lifecycle events into the
 continuous signals the long-horizon work (autoscaling, capacity
 planning) needs: per-window acceptance, mean/min delivered quality,
 per-class Jain fairness, mean headroom, and renegotiation density over
@@ -9,7 +9,7 @@ mid-run — ``current()`` summarizes the in-progress window, ``windows``
 holds every closed one — and totals accumulate in a small
 :class:`MetricsRegistry` of named instruments.
 
-The observer only *reads* hook payloads; like every
+The observer only *reads* events; like every
 :class:`~repro.serving.observers.RoundObserver` it is never read back
 by a runner, so attaching it cannot change a run's results
 (``tests/obs/test_obs_equivalence.py`` asserts bit-identity).
@@ -90,7 +90,7 @@ class MetricsRegistry:
         self.histograms: dict[str, Histogram] = {}
 
     # get-then-create, not setdefault: these run on every lifecycle
-    # hook, and setdefault would allocate a throwaway instrument per
+    # event, and setdefault would allocate a throwaway instrument per
     # call once the name exists
     def counter(self, name: str) -> Counter:
         instrument = self.counters.get(name)
@@ -125,14 +125,14 @@ class MetricsRegistry:
 
 
 class TelemetryObserver(RoundObserver):
-    """Tumbling-window serving metrics over the observer hooks.
+    """Tumbling-window serving metrics folded over the event stream.
 
     Parameters
     ----------
     window:
         Window length in scheduling rounds.  Window ``k`` covers rounds
         ``[k * window, (k + 1) * window)``; a window closes the moment
-        any hook reports a round at or past its end, so ``windows`` is
+        any event reports a round at or past its end, so ``windows`` is
         always consistent mid-run.
     registry:
         Optional shared :class:`MetricsRegistry` for whole-run totals
@@ -158,11 +158,11 @@ class TelemetryObserver(RoundObserver):
         self._acc = self._fresh()
         self._closed = False
         # stream -> class name, learned at admission; renegotiation
-        # hooks only carry the stream id, so per-class densities (the
+        # events only carry the stream id, so per-class densities (the
         # SLA-weighted scale trigger) need this whole-run map
         self._class_of: dict[str, str] = {}
-        # instruments resolved once: every hook fires per round (or per
-        # stream event), so per-hook registry lookups are pure overhead
+        # instruments resolved once: events arrive per round (or per
+        # stream decision), so per-event registry lookups are overhead
         reg = self.registry
         self._round_gauge = reg.gauge("round")
         self._c_pool_rounds = reg.counter("pool_rounds")
@@ -185,7 +185,7 @@ class TelemetryObserver(RoundObserver):
 
     def _fresh(self) -> dict:
         return {
-            # distinct rounds tracked monotonically (hooks arrive in
+            # distinct rounds tracked monotonically (events arrive in
             # round order; a shard re-reporting the same round must not
             # double-count), cheaper than a per-window set
             "round_count": 0,
@@ -272,92 +272,80 @@ class TelemetryObserver(RoundObserver):
         }
 
     # ------------------------------------------------------------------
-    # lifecycle hooks
+    # the event fold
     # ------------------------------------------------------------------
 
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        self._bump(round_index)
+    def on_event(self, event):
+        kind = event.kind
+        if kind == "alert":
+            return  # derived from this stream, never folded back in
+        self._bump(event.round)
         acc = self._acc
-        granted = sum(allocations.values()) if allocations else 0.0
-        if round_index != acc["last_round"]:
-            acc["last_round"] = round_index
-            acc["round_count"] += 1
-        acc["pool_rounds"] += 1
-        acc["capacity"] += capacity
-        acc["granted"] += granted
-        acc["headroom"] += capacity - granted
-        if len(allocations) > acc["peak_streams"]:
-            acc["peak_streams"] = len(allocations)
-        self._c_pool_rounds.value += 1
-        self._h_headroom.observe(capacity - granted)
-
-    def on_admit(self, spec, round_index, shard_id=None):
-        self._bump(round_index)
-        self._acc["admitted"] += 1
-        self._class_of[spec.name] = (
-            spec.service_class if spec.service_class is not None else "unclassed"
-        )
-        self._c_admitted.value += 1
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        self._bump(round_index)
-        self._acc["rejected"] += 1
-        self._c_rejected.value += 1
-
-    def on_preempt(self, spec, round_index, shard_id=None):
-        self._bump(round_index)
-        self._acc["preempted"] += 1
-        self._c_preempted.value += 1
-
-    def on_migrate(self, move, round_index):
-        self._bump(round_index)
-        self._c_migrations.value += 1
-
-    def on_renegotiate(
-        self, stream_id, old_target, new_target, round_index, shard_id=None
-    ):
-        self._bump(round_index)
-        acc = self._acc
-        acc["renegotiations"] += 1
-        # the direction matters to a capacity controller: down-steps are
-        # degradation under pressure, up-steps are headroom-driven
-        # recovery (PR-4's scale signals)
-        direction = "renegotiations_up" if new_target > old_target else (
-            "renegotiations_down"
-        )
-        acc[direction] += 1
-        key = self._class_of.get(stream_id, "unclassed")
-        acc["class_renegotiations"][key] = (
-            acc["class_renegotiations"].get(key, 0) + 1
-        )
-        self._c_renegotiations.value += 1
-        if new_target > old_target:
-            self._c_reneg_up.value += 1
-        else:
-            self._c_reneg_down.value += 1
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        self._bump(round_index)
-        acc = self._acc
-        acc["departed"] += 1
-        key = (
-            outcome.spec.service_class
-            if outcome.spec.service_class is not None
-            else "unclassed"
-        )
-        quality = outcome.result.mean_quality()
-        acc["class_quality"].setdefault(key, []).append(quality)
-        self._c_departed.value += 1
-        self._h_departure_quality.observe(quality)
-
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        self._bump(round_index)
-        self._c_capacity_events.value += 1
-
-    def on_scale(self, action, round_index):
-        self._bump(round_index)
-        self._acc["scale_actions"] += 1
-        self._c_scale_actions.value += 1
+        if kind == "round":
+            allocations = event.allocations
+            capacity = event.capacity
+            granted = sum(allocations.values()) if allocations else 0.0
+            if event.round != acc["last_round"]:
+                acc["last_round"] = event.round
+                acc["round_count"] += 1
+            acc["pool_rounds"] += 1
+            acc["capacity"] += capacity
+            acc["granted"] += granted
+            acc["headroom"] += capacity - granted
+            if len(allocations) > acc["peak_streams"]:
+                acc["peak_streams"] = len(allocations)
+            self._c_pool_rounds.value += 1
+            self._h_headroom.observe(capacity - granted)
+        elif kind == "admit":
+            acc["admitted"] += 1
+            self._class_of[event.stream] = (
+                event.service_class
+                if event.service_class is not None
+                else "unclassed"
+            )
+            self._c_admitted.value += 1
+        elif kind == "reject":
+            acc["rejected"] += 1
+            self._c_rejected.value += 1
+        elif kind == "preempt":
+            acc["preempted"] += 1
+            self._c_preempted.value += 1
+        elif kind == "migrate":
+            self._c_migrations.value += 1
+        elif kind == "renegotiate":
+            up = event.new_target > event.old_target
+            acc["renegotiations"] += 1
+            # the direction matters to a capacity controller: down-steps
+            # are degradation under pressure, up-steps are
+            # headroom-driven recovery (PR-4's scale signals)
+            acc["renegotiations_up" if up else "renegotiations_down"] += 1
+            key = self._class_of.get(event.stream, "unclassed")
+            acc["class_renegotiations"][key] = (
+                acc["class_renegotiations"].get(key, 0) + 1
+            )
+            self._c_renegotiations.value += 1
+            if up:
+                self._c_reneg_up.value += 1
+            else:
+                self._c_reneg_down.value += 1
+        elif kind == "depart":
+            acc["departed"] += 1
+            key = (
+                event.service_class
+                if event.service_class is not None
+                else "unclassed"
+            )
+            quality = (
+                math.nan if event.mean_quality is None else event.mean_quality
+            )
+            acc["class_quality"].setdefault(key, []).append(quality)
+            self._c_departed.value += 1
+            self._h_departure_quality.observe(quality)
+        elif kind == "capacity":
+            self._c_capacity_events.value += 1
+        elif kind == "scale":
+            acc["scale_actions"] += 1
+            self._c_scale_actions.value += 1
 
     # ------------------------------------------------------------------
     # queries

@@ -3,7 +3,7 @@
 Runners time their control phases — fleet/shard ``admission``,
 ``arbitration`` and ``step``; cluster-wide ``placement``, ``migration``
 and ``balancing`` — **only** when an attached observer overrides
-``on_phase`` (``phase_timing_enabled``), so bare runs never pay for a
+``on_phase`` (``phase_listeners``), so bare runs never pay for a
 ``perf_counter`` read.  :class:`PerfObserver` is that override: it
 accumulates per-phase call counts and wall time, answering "where does
 the controller spend its budget" for the paper's claim that fine-grain
@@ -19,7 +19,7 @@ class PerfObserver(RoundObserver):
     """Accumulates wall time per controller phase.
 
     Overriding ``on_phase`` is what switches phase timing on in every
-    runner; the other hooks stay no-ops, so the only added work per
+    runner; it ignores the event stream, so the only added work per
     round is a handful of ``perf_counter`` reads and dict updates.
     """
 

@@ -5,7 +5,7 @@ the *temporal* half of that contract, Kalinahia-style declared QoS: a
 :class:`SloSpec` states what fraction of a class's serving decisions
 must be good (``"gold quality >= 0.85 in >= 99% of departures"``,
 ``"acceptance >= 99.9%"``), and :class:`SloObserver` evaluates it live
-over the observer hook stream as a **rolling error budget** with
+as a fold over the event stream: a **rolling error budget** with
 multi-window burn-rate alerting (the SRE fast/slow window pair):
 
 * every matching serving decision is a budget *unit* — an admission
@@ -517,38 +517,29 @@ class SloObserver(RoundObserver):
             yield tracker
 
     # ------------------------------------------------------------------
-    # lifecycle hooks
+    # the event fold
     # ------------------------------------------------------------------
 
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        self._advance(round_index)
-
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        self._advance(round_index)
-
-    def on_admit(self, spec, round_index, shard_id=None):
-        self._advance(round_index)
-        for tracker in self._matching("acceptance", spec.service_class):
-            tracker.record(round_index, spec.name, good=True)
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        self._advance(round_index)
-        for tracker in self._matching("acceptance", spec.service_class):
-            tracker.record(round_index, spec.name, good=False)
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        self._advance(round_index)
-        spec = outcome.spec
-        trackers = list(self._matching("quality", spec.service_class))
-        if not trackers:
-            return
-        mean = outcome.result.mean_quality()
-        norm = mean / QMAX
-        for tracker in trackers:
-            # an all-skips departure has undefined (NaN) quality: that
-            # is a failed delivery, not a free pass
-            good = (not math.isnan(mean)) and norm >= tracker.threshold - 1e-12
-            tracker.record(round_index, spec.name, good=good)
+    def on_event(self, event):
+        kind = event.kind
+        if kind in ("round", "capacity"):
+            self._advance(event.round)
+        elif kind in ("admit", "reject"):
+            self._advance(event.round)
+            good = kind == "admit"
+            for tracker in self._matching("acceptance", event.service_class):
+                tracker.record(event.round, event.stream, good=good)
+        elif kind == "depart":
+            self._advance(event.round)
+            mean = event.mean_quality
+            for tracker in self._matching("quality", event.service_class):
+                # an all-skips departure has undefined (None) quality:
+                # that is a failed delivery, not a free pass
+                good = (
+                    mean is not None
+                    and mean / QMAX >= tracker.threshold - 1e-12
+                )
+                tracker.record(event.round, event.stream, good=good)
 
     # ------------------------------------------------------------------
     # queries

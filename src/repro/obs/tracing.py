@@ -4,11 +4,11 @@ sessions to the capacity/scale events that shaped them.
 "Control of Multiple Remote Servers for Quality-Fair Delivery"
 (PAPERS.md) motivates per-stream quality trajectories as the unit of
 diagnosis; :class:`TraceObserver` builds exactly that from the
-observer hook stream, with no new runner entry points.  Each served
+event stream, with no new runner entry points.  Each served
 stream becomes a :class:`TraceRecord` — admit (with queue wait) →
 per-window grant/quality segments → renegotiate / migrate / preempt
 instants → depart — and each instant span carries a **causal edge**
-(``attrs["cause"]``) when the hook ordering proves what triggered it:
+(``attrs["cause"]``) when the event order proves what triggered it:
 
 * a migration fired in the same round as an applied
   :class:`~repro.horizon.autoscaler.ScaleAction` is that action's
@@ -260,14 +260,14 @@ class TraceObserver(RoundObserver):
         self._finished: list[dict] = []
         self._closed = False
         # ---- cluster-level history (attribution's evidence base) ----
-        #: every capacity declaration, in hook order.
+        #: every capacity declaration, in stream order.
         self.capacity_log: list[tuple[int, str | None, float]] = []
         #: exogenous capacity dips (scale retirements excluded).
         self.dips: list[dict] = []
         #: applied scale actions, as dicts with their ``action_id``.
         self.scale_actions: list[dict] = []
         #: offered streams per *arrival* round (queued specs count at
-        #: their true arrival once a decision hook reveals them).
+        #: their true arrival once a decision event reveals them).
         self.arrivals: dict[int, int] = {}
         #: round of every executed migration move.
         self.migration_rounds: list[int] = []
@@ -284,17 +284,13 @@ class TraceObserver(RoundObserver):
     # builders
     # ------------------------------------------------------------------
 
-    def _tick(self, round_index: int) -> None:
-        if round_index > self.last_round:
-            self.last_round = round_index
-
-    def _offered(self, spec, round_index: int) -> None:
-        if spec.name in self._seen:
+    def _offered(self, event) -> None:
+        if event.stream in self._seen:
             return
-        self._seen.add(spec.name)
-        self._class_of[spec.name] = spec.service_class
-        self.arrivals[spec.arrival_round] = (
-            self.arrivals.get(spec.arrival_round, 0) + 1
+        self._seen.add(event.stream)
+        self._class_of[event.stream] = event.service_class
+        self.arrivals[event.arrival_round] = (
+            self.arrivals.get(event.arrival_round, 0) + 1
         )
 
     def _close_segment(self, live: dict, end_round: int) -> None:
@@ -340,12 +336,65 @@ class TraceObserver(RoundObserver):
         return None
 
     # ------------------------------------------------------------------
-    # lifecycle hooks
+    # the event fold
     # ------------------------------------------------------------------
 
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        self._tick(round_index)
-        self.capacity_log.append((round_index, shard_id, float(capacity)))
+    def on_event(self, event):
+        kind = event.kind
+        if kind == "alert":
+            return  # derived, and not part of any session's story
+        if event.round > self.last_round:
+            self.last_round = event.round
+        if kind == "round":
+            self._round(event)
+        elif kind == "admit":
+            self._admit(event)
+        elif kind == "depart":
+            self._depart(event)
+        elif kind == "renegotiate":
+            self._renegotiate(event)
+        elif kind == "reject":
+            self._reject(event)
+        elif kind == "preempt":
+            # a preempted spec was queued, never admitted: start its
+            # (short) record here; the paired reject, published right
+            # after in the same round, carries its arrival round and
+            # finalizes it
+            self._live[event.stream] = self._record_of(
+                event, None, [self._instant(event, {})],
+            )
+        elif kind == "migrate":
+            self._migrate(event)
+        elif kind == "capacity":
+            self._capacity_declared(event)
+        elif kind == "scale":
+            self._scale(event)
+
+    @staticmethod
+    def _instant(event, attrs) -> dict:
+        return {
+            "kind": event.kind,
+            "start": event.round,
+            "end": event.round,
+            "shard": event.shard,
+            "attrs": attrs,
+        }
+
+    @staticmethod
+    def _record_of(event, arrival_round, spans) -> dict:
+        return {
+            "stream": event.stream,
+            "service_class": event.service_class,
+            "arrival_round": arrival_round,
+            "admitted_round": event.round if event.kind == "admit" else None,
+            "shard": event.shard,
+            "spans": spans,
+            "seg": None,
+        }
+
+    def _capacity_declared(self, event) -> None:
+        shard_id, capacity = event.shard, event.capacity
+        self.capacity_log.append((event.round, shard_id, float(capacity)))
         previous = self._capacity.get(shard_id)
         if shard_id in self._scaling:
             # declarations a scale action promised are provisioning,
@@ -353,8 +402,8 @@ class TraceObserver(RoundObserver):
             self._scaling.discard(shard_id)
         elif previous is not None and 0.0 < capacity < previous:
             self.dips.append({
-                "id": f"capacity-dip@{shard_id}:{round_index}",
-                "round": round_index,
+                "id": f"capacity-dip@{shard_id}:{event.round}",
+                "round": event.round,
                 "shard": shard_id,
                 "before": previous,
                 "after": float(capacity),
@@ -364,93 +413,46 @@ class TraceObserver(RoundObserver):
         else:
             self._capacity[shard_id] = float(capacity)
 
-    def on_scale(self, action, round_index):
-        self._tick(round_index)
+    def _scale(self, event) -> None:
         self.scale_actions.append({
-            "round": round_index,
-            "action_id": action.action_id,
-            "kind": action.kind,
-            "reason": action.reason,
-            "shards": list(action.shards),
-            "created": list(action.created),
+            "round": event.round,
+            "action_id": event.action_id,
+            "kind": event.action,
+            "reason": event.reason,
+            "shards": list(event.sources),
+            "created": list(event.created),
         })
-        self._last_scale = (round_index, action.action_id)
-        self._scaling.update(action.shards)
-        self._scaling.update(action.created)
+        self._last_scale = (event.round, event.action_id)
+        self._scaling.update(event.sources)
+        self._scaling.update(event.created)
 
-    def on_admit(self, spec, round_index, shard_id=None):
-        self._tick(round_index)
-        self._offered(spec, round_index)
-        live = {
-            "stream": spec.name,
-            "service_class": spec.service_class,
-            "arrival_round": spec.arrival_round,
-            "admitted_round": round_index,
-            "shard": shard_id,
-            "spans": [{
-                "kind": "admit",
-                "start": round_index,
-                "end": round_index,
-                "shard": shard_id,
-                "attrs": {
-                    "queue_wait": round_index - spec.arrival_round,
-                },
-            }],
-            "seg": None,
-        }
-        self._live[spec.name] = live
-        self._open_segment(live, round_index, shard_id)
+    def _admit(self, event) -> None:
+        self._offered(event)
+        live = self._record_of(
+            event, event.arrival_round,
+            [self._instant(
+                event, {"queue_wait": event.round - event.arrival_round},
+            )],
+        )
+        self._live[event.stream] = live
+        self._open_segment(live, event.round, event.shard)
 
-    def on_preempt(self, spec, round_index, shard_id=None):
-        self._tick(round_index)
-        self._offered(spec, round_index)
-        # a preempted spec was queued, never admitted: start its
-        # (short) record here; the paired on_reject finalizes it
-        self._live[spec.name] = {
-            "stream": spec.name,
-            "service_class": spec.service_class,
-            "arrival_round": spec.arrival_round,
-            "admitted_round": None,
-            "shard": shard_id,
-            "spans": [{
-                "kind": "preempt",
-                "start": round_index,
-                "end": round_index,
-                "shard": shard_id,
-                "attrs": {},
-            }],
-            "seg": None,
-        }
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        self._tick(round_index)
-        self._offered(spec, round_index)
-        live = self._live.pop(spec.name, None)
+    def _reject(self, event) -> None:
+        self._offered(event)
+        live = self._live.pop(event.stream, None)
         if live is None:
-            live = {
-                "stream": spec.name,
-                "service_class": spec.service_class,
-                "arrival_round": spec.arrival_round,
-                "admitted_round": None,
-                "shard": shard_id,
-                "spans": [],
-                "seg": None,
-            }
-        live["spans"].append({
-            "kind": "reject",
-            "start": round_index,
-            "end": round_index,
-            "shard": shard_id,
-            "attrs": {"queue_wait": round_index - spec.arrival_round},
-        })
+            live = self._record_of(event, event.arrival_round, [])
+        else:
+            live["arrival_round"] = event.arrival_round
+        live["spans"].append(self._instant(
+            event, {"queue_wait": event.round - event.arrival_round},
+        ))
         self._finalize(live, "rejected")
 
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        self._tick(round_index)
-        if not allocations:
-            return
+    def _round(self, event) -> None:
+        round_index = event.round
         segment_rounds = self.segment_rounds
-        for stream_id, grant in allocations.items():
+        for stream_id, grant in event.allocations.items():
             live = self._live.get(stream_id)
             if live is None:
                 continue
@@ -464,71 +466,55 @@ class TraceObserver(RoundObserver):
             seg["granted"] += grant
             seg["rounds"] += 1
 
-    def on_migrate(self, move, round_index):
-        self._tick(round_index)
+    def _migrate(self, event) -> None:
+        round_index = event.round
         self.migration_rounds.append(round_index)
-        live = self._live.get(move.stream_id)
+        live = self._live.get(event.stream)
         if live is None:
             return
         cause = None
         if self._last_scale is not None and self._last_scale[0] == round_index:
-            # scale relocations fire in the same round as (and after)
-            # their on_scale; policy moves fire earlier in the round
+            # scale relocations are published in the same round as (and
+            # after) their scale event; policy moves come earlier
             cause = self._last_scale[1]
         self._close_segment(live, round_index - 1)
-        live["spans"].append({
-            "kind": "migrate",
-            "start": round_index,
-            "end": round_index,
-            "shard": move.source,
-            "attrs": {
-                "dest": move.dest,
-                "move_kind": move.kind,
-                "cause": cause,
-            },
-        })
-        live["shard"] = move.dest
-        if move.kind == "active":
-            self._open_segment(live, round_index, move.dest)
+        live["spans"].append(self._instant(event, {
+            "dest": event.dest,
+            "move_kind": event.move_kind,
+            "cause": cause,
+        }))
+        live["shard"] = event.dest
+        if event.move_kind == "active":
+            self._open_segment(live, round_index, event.dest)
 
-    def on_renegotiate(
-        self, stream_id, old_target, new_target, round_index, shard_id=None
-    ):
-        self._tick(round_index)
-        live = self._live.get(stream_id)
-        down = new_target < old_target
+    def _renegotiate(self, event) -> None:
+        live = self._live.get(event.stream)
+        down = event.new_target < event.old_target
         if down:
             self.down_steps.append(
-                (round_index, self._class_of.get(stream_id))
+                (event.round, self._class_of.get(event.stream))
             )
         if live is None:
             return
         cause = (
-            self._dip_cause(live["shard"], round_index) if down else None
+            self._dip_cause(live["shard"], event.round) if down else None
         )
         live["spans"].append({
-            "kind": "renegotiate",
-            "start": round_index,
-            "end": round_index,
-            "shard": live["shard"],
-            "attrs": {
-                "old_target": old_target,
-                "new_target": new_target,
+            **self._instant(event, {
+                "old_target": event.old_target,
+                "new_target": event.new_target,
                 "cause": cause,
-            },
+            }),
+            "shard": live["shard"],
         })
 
-    def on_depart(self, outcome, round_index, shard_id=None):
-        self._tick(round_index)
-        live = self._live.pop(outcome.spec.name, None)
+    def _depart(self, event) -> None:
+        round_index = event.round
+        live = self._live.pop(event.stream, None)
         if live is None:
             return
         self._close_segment(live, round_index)
-        run = outcome.result
-        mean = run.mean_quality()
-        # plain floats up front: the segment windows below then hold
-        # JSON-native scalars and their spans skip the cleaning pass
-        timeline = run.quality_series().tolist()
+        timeline = event.quality_timeline
         admitted = live["admitted_round"]
         for span in live["spans"]:
             # grant windows align 1:1 with session frames (one step per
@@ -537,24 +523,16 @@ class TraceObserver(RoundObserver):
                 continue
             lo = max(0, span["start"] - admitted)
             hi = min(len(timeline) - 1, span["end"] - admitted)
-            window = [
-                q for q in timeline[lo:hi + 1] if not math.isnan(q)
-            ]
+            window = [q for q in timeline[lo:hi + 1] if q is not None]
             span["attrs"]["mean_quality"] = (
                 sum(window) / len(window) if window else None
             )
-        live["spans"].append({
-            "kind": "depart",
-            "start": round_index,
-            "end": round_index,
-            "shard": shard_id,
-            "attrs": {
-                "frames": len(run),
-                "skips": run.skip_count,
-                "renegotiations": outcome.renegotiations,
-                "mean_quality": None if math.isnan(mean) else float(mean),
-            },
-        })
+        live["spans"].append(self._instant(event, {
+            "frames": event.frames,
+            "skips": event.skips,
+            "renegotiations": event.renegotiations,
+            "mean_quality": event.mean_quality,
+        }))
         self._finalize(live, "served")
 
     # ------------------------------------------------------------------

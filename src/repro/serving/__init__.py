@@ -15,10 +15,9 @@ of them:
 * :class:`ServingRunner` — the protocol both runners implement
   (``run`` + ``reset``), and :func:`serve`, the facade that builds and
   runs a spec and returns a unified :class:`ServingResult`;
-* :class:`RoundObserver` — lifecycle hooks (``on_round`` / ``on_admit``
-  / ``on_reject`` / ``on_migrate`` / ``on_depart``) threaded through
-  both runners, the attachment point for windowed metrics and
-  autoscaling.
+* :class:`RoundObserver` — a fold over the lifecycle event stream
+  (``on_event``) both runners publish, the attachment point for
+  windowed metrics and autoscaling.
 
 Quick start::
 
@@ -34,11 +33,7 @@ Quick start::
     print(result.summary())
 """
 
-from repro.serving.observers import (
-    CountingObserver,
-    RoundObserver,
-    phase_timing_enabled,
-)
+from repro.serving.observers import CountingObserver, RoundObserver
 from repro.serving.registry import (
     ADMISSIONS,
     ARBITERS,
@@ -98,7 +93,6 @@ __all__ = [
     "build_observers",
     "build_runner",
     "build_scenario",
-    "phase_timing_enabled",
     "register_admission",
     "register_arbiter",
     "register_autoscaler",

@@ -1,104 +1,84 @@
-"""Lifecycle observers: hooks into the serving loop, zero side effects.
+"""Lifecycle observers: folds over the serving loop's event stream.
 
-A :class:`RoundObserver` receives the serving loop's lifecycle events —
-one ``on_round`` per scheduling round (per shard in a cluster), plus
-admission, rejection, migration, and departure events.  Both
+A :class:`RoundObserver` receives the serving loop's lifecycle as one
+stream of typed :class:`~repro.obs.events.Event` records through
+:meth:`~RoundObserver.on_event`.  Both
 :class:`~repro.streams.fleet.FleetRunner` and
 :class:`~repro.cluster.runner.ClusterRunner` accept a sequence of
-observers and invoke every hook at the matching point of their loops;
-the runners never read anything back, so observers cannot change a
-run's results (asserted by ``tests/serving/test_serving_observers.py``).
+observers, build each record once at the matching point of their loops
+and deliver it to every observer in list order; the runners never read
+anything back, so observers cannot change a run's results (asserted by
+``tests/serving/test_serving_observers.py``).  Because every record is
+complete, a saved event log (:func:`repro.obs.events.load_events`)
+replayed through fresh observers reproduces the live result.
 
 This is the attachment point for windowed long-horizon metrics,
-autoscaling controllers, and live dashboards: subclass, override the
-hooks you care about (all default to no-ops), and pass the instance to
-the runner or to :func:`repro.serving.serve`.
+autoscaling controllers, and live dashboards: subclass, override
+``on_event`` and fold the kinds you care about, and pass the instance
+to the runner or to :func:`repro.serving.serve`.
 
-Hook conventions
-----------------
+Stream conventions
+------------------
 
-* ``shard_id`` is ``None`` for single-pool (fleet) runs and the shard's
-  id for cluster runs; ``on_round`` fires once per round per pool, even
-  when the pool is idle (``allocations == {}``).
-* ``on_admit`` fires when a stream starts (immediately on arrival or
-  later from the admission queue); ``on_reject`` when it is finally
-  refused; ``on_depart`` when it finishes, with its full
-  :class:`~repro.streams.fleet.StreamOutcome`.
-* ``on_migrate`` fires once per executed
+* ``event.shard`` is ``None`` for single-pool (fleet) runs and the
+  shard's id for cluster runs; a ``round`` event fires once per round
+  per pool, even when the pool is idle (``allocations == {}``).
+* ``admit`` fires when a stream starts (immediately on arrival or
+  later from the admission queue); ``reject`` when it is finally
+  refused; ``depart`` when it finishes, with its quality timeline.
+* ``migrate`` fires once per executed
   :class:`~repro.cluster.migration.MigrationMove` (cluster only).
-* ``on_preempt`` fires when priority admission evicts a queued spec,
-  immediately before that spec's final ``on_reject`` (the preempted
+* ``preempt`` fires when priority admission evicts a queued spec,
+  immediately before that spec's final ``reject`` (the preempted
   stream is still counted exactly once as rejected).
-* ``on_capacity`` declares a pool's nominal capacity: once per pool at
+* ``capacity`` declares a pool's nominal capacity: once per pool at
   run start (round 0) and again whenever a capacity event resizes a
   shard mid-run.
-* ``on_phase`` reports wall-clock phase timings (``"admission"`` /
-  ``"arbitration"`` / ``"step"`` per pool; ``"placement"`` /
-  ``"migration"`` / ``"balancing"`` cluster-wide).  The runners only
-  read the clock when an attached observer actually *overrides*
-  ``on_phase`` (see :func:`phase_timing_enabled`), so bare runs pay
-  nothing for the hook's existence.
+* ``scale`` announces an autoscaler action before the cluster mutates;
+  the ``capacity`` declarations for created (positive capacity) and
+  retired (zero capacity) shards and the ``migrate`` events for
+  relocated sessions follow in the same round.
+* ``alert`` records are derived (an SLO observer emits them into its
+  sink); the runners never publish them.
+
+:meth:`~RoundObserver.on_phase` is a separate channel: wall-clock phase
+timings (``"admission"`` / ``"arbitration"`` / ``"step"`` per pool;
+``"placement"`` / ``"migration"`` / ``"balancing"`` cluster-wide),
+never part of the log.  The runners only read the clock when an
+attached observer actually *overrides* ``on_phase`` (see
+:func:`phase_listeners`), so bare runs pay nothing for the hook's
+existence.
 """
 
 from __future__ import annotations
 
 
 class RoundObserver:
-    """Base lifecycle observer; every hook is a no-op.
+    """Base lifecycle observer; observes nothing.
 
-    Subclass and override what you need — the runners call every hook
-    unconditionally, so overriding none of them observes nothing and
-    costs (almost) nothing.
+    Override :meth:`on_event` to fold the event stream.
     """
 
+    def on_event(self, event):
+        """One lifecycle record (see :mod:`repro.obs.events`).
+
+        The default routes ``round`` records to :meth:`on_round` and
+        ignores the rest.
+        """
+        if event.kind == "round":
+            self.on_round(
+                event.round, event.allocations, event.capacity, event.shard
+            )
+
     def on_round(self, round_index, allocations, capacity, shard_id=None):
-        """One scheduling round arbitrated on one pool.
+        """Convenience for an observer that only watches rounds.
 
-        ``allocations`` maps stream id to granted cycles this round
-        (empty when the pool had no active sessions); ``capacity`` is
-        the pool the arbiter split — the *effective* budget when a
-        headroom balancer lent cycles.
-        """
-
-    def on_admit(self, spec, round_index, shard_id=None):
-        """``spec`` was admitted and its session started this round."""
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        """``spec`` was finally rejected (at arrival or queue flush)."""
-
-    def on_preempt(self, spec, round_index, shard_id=None):
-        """A queued ``spec`` was evicted by a higher-priority arrival.
-
-        Always followed by the same spec's ``on_reject`` in the same
-        round — preemption explains *why* that rejection happened.
-        """
-
-    def on_migrate(self, move, round_index):
-        """One queued or active migration move was executed."""
-
-    def on_renegotiate(
-        self, stream_id, old_target, new_target, round_index, shard_id=None
-    ):
-        """A session's SLA quality target stepped (down under sustained
-        starvation, back up when headroom returned); targets are
-        normalized [0, 1] (see :mod:`repro.sla.renegotiation`)."""
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        """A stream finished; ``outcome`` carries its full run result."""
-
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        """A pool's nominal capacity was declared (run start) or
-        changed (mid-run capacity event)."""
-
-    def on_scale(self, action, round_index):
-        """An autoscaler's :class:`~repro.horizon.autoscaler.ScaleAction`
-        is about to be applied (cluster only).
-
-        Fires *before* the cluster mutates, with ``action.created``
-        filled in with the ids of the shards the action will create; the
-        ``on_capacity`` declarations for created (positive capacity) and
-        retired (zero capacity) shards, and the ``on_migrate`` events
-        for relocated sessions, follow in the same round.
+        Kept only because the benchmark's round clock and the CLI's
+        ``--watch`` printer override this alone; new observers override
+        :meth:`on_event`.  ``allocations`` maps stream id to granted
+        cycles this round (empty when the pool had no active sessions);
+        ``capacity`` is the pool the arbiter split — the *effective*
+        budget when a headroom balancer lent cycles.
         """
 
     def on_phase(self, phase, seconds, round_index, shard_id=None):
@@ -110,27 +90,13 @@ class RoundObserver:
         """
 
 
-def phase_timing_enabled(observers) -> bool:
-    """Does any observer actually override ``on_phase``?
-
-    The runners gate every ``perf_counter`` read on this, so attaching
-    counting/event observers (which ignore phases) keeps the loop free
-    of clock syscalls and runs stay bit-identical in cost profile.
-    """
-    base = RoundObserver.on_phase
-    return any(
-        getattr(type(observer), "on_phase", base) is not base
-        for observer in observers
-    )
-
-
 def phase_listeners(observers) -> tuple:
     """The observers that actually override ``on_phase``.
 
-    Runners dispatch phase timings to this subset only: a typical
-    telemetry stack has one phase listener among several observers, and
-    fanning a few hundred phase reports per run out to base-class
-    no-ops is measurable overhead.
+    Runners gate every ``perf_counter`` read on this subset being
+    non-empty and dispatch phase timings to it only, so attaching
+    counting/event observers (which ignore phases) keeps the loop free
+    of clock syscalls.
     """
     base = RoundObserver.on_phase
     return tuple(
@@ -143,61 +109,33 @@ def phase_listeners(observers) -> tuple:
 class CountingObserver(RoundObserver):
     """Tallies every lifecycle event — the smoke-test observer.
 
-    ``rounds`` counts ``on_round`` invocations (rounds x pools),
-    the rest count streams/moves.  Useful as a cheap cross-check that
-    runner bookkeeping and observer plumbing agree, and as the simplest
+    ``rounds`` counts ``round`` events (rounds x pools), the rest count
+    streams/moves.  Useful as a cheap cross-check that runner
+    bookkeeping and observer plumbing agree, and as the simplest
     possible example of the API.
     """
 
+    #: event kind -> the tally it bumps
+    TALLIES = {
+        "round": "rounds",
+        "admit": "admitted",
+        "reject": "rejected",
+        "preempt": "preempted",
+        "migrate": "migrated",
+        "renegotiate": "renegotiated",
+        "depart": "departed",
+        "capacity": "capacity_events",
+        "scale": "scaled",
+    }
+
     def __init__(self) -> None:
-        self.rounds = 0
-        self.admitted = 0
-        self.rejected = 0
-        self.preempted = 0
-        self.migrated = 0
-        self.renegotiated = 0
-        self.departed = 0
-        self.capacity_events = 0
-        self.scaled = 0
+        for tally in self.TALLIES.values():
+            setattr(self, tally, 0)
 
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        self.rounds += 1
-
-    def on_admit(self, spec, round_index, shard_id=None):
-        self.admitted += 1
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        self.rejected += 1
-
-    def on_preempt(self, spec, round_index, shard_id=None):
-        self.preempted += 1
-
-    def on_migrate(self, move, round_index):
-        self.migrated += 1
-
-    def on_renegotiate(
-        self, stream_id, old_target, new_target, round_index, shard_id=None
-    ):
-        self.renegotiated += 1
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        self.departed += 1
-
-    def on_capacity(self, capacity, round_index, shard_id=None):
-        self.capacity_events += 1
-
-    def on_scale(self, action, round_index):
-        self.scaled += 1
+    def on_event(self, event):
+        tally = self.TALLIES.get(event.kind)
+        if tally is not None:
+            setattr(self, tally, getattr(self, tally) + 1)
 
     def counts(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "preempted": self.preempted,
-            "migrated": self.migrated,
-            "renegotiated": self.renegotiated,
-            "departed": self.departed,
-            "capacity_events": self.capacity_events,
-            "scaled": self.scaled,
-        }
+        return {tally: getattr(self, tally) for tally in self.TALLIES.values()}

@@ -237,8 +237,13 @@ def _wire_observers(observers) -> None:
 
 
 def _close_observers(observers) -> None:
-    """End-of-run lifecycle: flush/finalize observers that support it."""
-    for observer in observers:
+    """End-of-run lifecycle: flush/finalize observers that support it.
+
+    Last attached, first closed: a derived-event producer (the SLO
+    observer ``slos`` appends after the spec's event log) flushes its
+    final alerts into its sink before the sink closes.
+    """
+    for observer in reversed(observers):
         close = getattr(observer, "close", None)
         if callable(close):
             close()
@@ -249,11 +254,12 @@ def serve(spec, observers: Sequence = ()) -> ServingResult:
 
     ``spec`` may be a :class:`ServingSpec`, its ``to_dict`` mapping
     form, or a JSON string; ``observers`` are
-    :class:`~repro.serving.observers.RoundObserver` instances threaded
-    through the run's lifecycle hooks, in addition to any the spec
+    :class:`~repro.serving.observers.RoundObserver` instances fed the
+    run's lifecycle event stream, in addition to any the spec
     itself declares (``spec.observers``, built from the ``OBSERVERS``
     registry).  When the run ends — normally or by raising — every
-    attached observer that defines ``close()`` has it called (flushing
+    attached observer that defines ``close()`` has it called, in reverse
+    order (flushing
     partial telemetry windows, event-log file handles, and invariant
     finalizers); the full tuple is returned on
     :attr:`ServingResult.observers`.

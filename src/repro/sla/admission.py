@@ -17,7 +17,7 @@ even alone — and changes only *who waits where*:
 
 Evicted specs travel back to the runner on the
 :class:`~repro.streams.admission.AdmissionVerdict` (``preempted``) so
-they are recorded as rejections and observed via ``on_reject``
+they are recorded as rejections and observed as a ``reject`` event
 **exactly once** (see ``tests/serving/test_serving_observers.py``).
 """
 

@@ -14,7 +14,7 @@ A policy instance is **stateless and shared** across sessions — all
 counters live in the :class:`~repro.streams.session.StreamSession` —
 so one instance may serve a whole fleet (or every shard of a cluster)
 and back-to-back runs replay bit-identically.  Each executed step is
-reported by the runner through ``RoundObserver.on_renegotiate`` and
+reported by the runner as a ``renegotiate`` event and
 tallied per stream in the results.
 """
 

@@ -50,7 +50,7 @@ class AdmissionVerdict:
     ``preempted`` lists queued specs this offer evicted from the wait
     queue (priority admission only — the base controller never
     preempts).  Each evicted spec is finally rejected: the runner
-    records it in the result and fires ``on_reject`` exactly once.
+    records it in the result and publishes one ``reject`` event.
     """
 
     decision: AdmissionDecision

@@ -471,9 +471,9 @@ class FleetRunner:
     max_rounds:
         Safety valve against runaway scenarios.
     observers:
-        :class:`~repro.serving.observers.RoundObserver` instances whose
-        lifecycle hooks (``on_round`` / ``on_admit`` / ``on_reject`` /
-        ``on_depart`` / ``on_renegotiate``) fire during ``run``.
+        :class:`~repro.serving.observers.RoundObserver` instances that
+        receive the run's lifecycle events (``capacity`` / ``round`` /
+        ``admit`` / ``reject`` / ``depart`` / ``renegotiate`` ...).
         Observers are never read back, so they cannot change results.
     service_classes:
         SLA catalog for classed stream specs — a mapping of name to
@@ -559,17 +559,16 @@ class FleetRunner:
             renegotiation=self.renegotiation,
             engine=self.engine,
         )
-        timed = False
         phase_observers: tuple = ()
         if self.observers:
             # imported lazily — the streams layer never depends on
-            # repro.serving at import time
+            # repro.obs or repro.serving at import time
+            from repro.obs.events import EventPublisher
             from repro.serving.observers import phase_listeners
 
             phase_observers = phase_listeners(self.observers)
-            timed = bool(phase_observers)
-            for observer in self.observers:
-                observer.on_capacity(self.capacity, 0)
+            EventPublisher(self.observers).capacity(self.capacity, 0)
+        timed = bool(phase_observers)
         round_index = 0
         # open-ended scenarios never drain on their own: max_rounds is
         # their *stop condition* — arrivals end there, live cameras are

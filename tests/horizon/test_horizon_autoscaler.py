@@ -21,6 +21,7 @@ from repro.horizon import (
     ScheduledAutoscaler,
     SignalAutoscaler,
 )
+from repro.obs.events import DepartEvent, RejectEvent, RoundEvent
 from repro.serving.registry import AUTOSCALERS
 from repro.serving.spec import ServingSpec
 
@@ -36,6 +37,28 @@ def fake_shard(shard_id="shard-0", capacity=1e6, active=(), queue=()):
 
 def fake_spec(name="s", service_class=None):
     return SimpleNamespace(name=name, service_class=service_class)
+
+
+def granted(round_index, allocations, capacity, shard_id):
+    return RoundEvent(
+        round=round_index, shard=shard_id, capacity=capacity,
+        allocations=allocations,
+    )
+
+
+def rejected(round_index, name="s"):
+    return RejectEvent(
+        round=round_index, shard=None, stream=name, service_class=None,
+        arrival_round=round_index,
+    )
+
+
+def departed(round_index, quality, name="s"):
+    return DepartEvent(
+        round=round_index, shard=None, stream=name, service_class=None,
+        admitted_round=0, frames=1, skips=0, deadline_misses=0,
+        renegotiations=0, mean_quality=quality, quality_timeline=(quality,),
+    )
 
 
 class TestScaleAction:
@@ -125,7 +148,7 @@ class TestSignalValidation:
 
 
 class TestSignalControlLoop:
-    """Drive the policy's private telemetry hook by hook."""
+    """Feed the policy's private telemetry event by event."""
 
     def run_rounds(self, policy, shards, rounds, rejects_per_round=0):
         """Feed quiet-or-congested rounds; return all planned actions."""
@@ -133,12 +156,11 @@ class TestSignalControlLoop:
         actions = []
         for r in rounds:
             for shard in shards:
-                telemetry.on_round(
-                    r, {"x": shard.capacity}, shard.capacity,
-                    shard_id=shard.shard_id,
-                )
+                telemetry.on_event(granted(
+                    r, {"x": shard.capacity}, shard.capacity, shard.shard_id,
+                ))
             for _ in range(rejects_per_round):
-                telemetry.on_reject(fake_spec(), r)
+                telemetry.on_event(rejected(r))
             actions.extend((r, a) for a in policy.plan(shards, r))
         return actions
 
@@ -146,8 +168,8 @@ class TestSignalControlLoop:
         policy = SignalAutoscaler(window=5, sustain=1, cooldown=5)
         shards = [fake_shard()]
         telemetry = policy.observer()
-        telemetry.on_round(2, {}, 1e6, shard_id="shard-0")
-        telemetry.on_reject(fake_spec(), 2)
+        telemetry.on_event(granted(2, {}, 1e6, "shard-0"))
+        telemetry.on_event(rejected(2))
         assert policy.plan(shards, 2) == []          # mid-window
         assert policy._up_streak == 0
 
@@ -210,8 +232,8 @@ class TestSignalControlLoop:
         for r in range(8):
             # utilization 0.25: granted 0.5e6 of 2e6 across both pools
             for shard in (busy, idle):
-                telemetry.on_round(
-                    r, {"x": 0.25e6}, 1e6, shard_id=shard.shard_id
+                telemetry.on_event(
+                    granted(r, {"x": 0.25e6}, 1e6, shard.shard_id)
                 )
             actions.extend(policy.plan([busy, idle], r))
         assert [a.kind for a in actions] == ["remove"]
@@ -227,20 +249,11 @@ class TestSignalControlLoop:
         busy = fake_shard("shard-0", active=[1, 2])
         spare = fake_shard("shard-1", active=[3])
         telemetry = policy.observer()
-
-        def departure(quality):
-            return SimpleNamespace(
-                spec=fake_spec(),
-                result=SimpleNamespace(mean_quality=lambda: quality),
-            )
-
         actions = []
         for r in range(8):
             for shard in (busy, spare):
-                telemetry.on_round(
-                    r, {"x": 1e6}, 1e6, shard_id=shard.shard_id
-                )
-            telemetry.on_depart(departure(6.8), r)
+                telemetry.on_event(granted(r, {"x": 1e6}, 1e6, shard.shard_id))
+            telemetry.on_event(departed(r, 6.8))
             actions.extend(policy.plan([busy, spare], r))
         assert [a.kind for a in actions] == ["remove"]
         assert actions[0].shards == ("shard-1",)
@@ -253,16 +266,8 @@ class TestSignalControlLoop:
         shards = [fake_shard("shard-0"), fake_shard("shard-1")]
         for r in range(4):
             for shard in shards:
-                telemetry.on_round(
-                    r, {"x": 1e6}, 1e6, shard_id=shard.shard_id
-                )
-            telemetry.on_depart(
-                SimpleNamespace(
-                    spec=fake_spec(),
-                    result=SimpleNamespace(mean_quality=lambda: 4.0),
-                ),
-                r,
-            )
+                telemetry.on_event(granted(r, {"x": 1e6}, 1e6, shard.shard_id))
+            telemetry.on_event(departed(r, 4.0))
         assert policy.plan(shards, 3) == []
 
     def test_min_shards_floor_blocks_scale_down(self):
@@ -272,7 +277,7 @@ class TestSignalControlLoop:
         only = fake_shard()
         telemetry = policy.observer()
         for r in range(4):
-            telemetry.on_round(r, {"x": 0.1e6}, 1e6, shard_id="shard-0")
+            telemetry.on_event(granted(r, {"x": 0.1e6}, 1e6, "shard-0"))
         assert policy.plan([only], 3) == []
 
     def test_max_shards_ceiling_blocks_scale_up(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,33 @@ class TestRoundTrip:
         serve(SLA_SPEC, observers=[log])
         # serve() closed the handle; the streamed file equals to_jsonl()
         assert path.read_text() == log.to_jsonl()
+
+    def test_late_slo_alert_does_not_truncate_the_stream(self, tmp_path):
+        """The SLO observer ``slos`` appends flushes its last alert at
+        close: the streamed file must still hold the whole log, and no
+        handle may stay open."""
+        import importlib.util
+
+        example = Path(__file__).resolve().parents[2] / "examples"
+        loader = importlib.util.spec_from_file_location(
+            "telemetry_example", example / "telemetry.py"
+        )
+        module = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(module)
+        path = tmp_path / "events.jsonl"
+        spec = module.telemetry_spec(path)
+        spec["slos"] = [{
+            "name": "q", "objective": "quality", "threshold": 0.5,
+            "target": 0.5, "fast_window": 3, "slow_window": 4,
+            "burn_threshold": 1.0,
+        }]
+        result = serve(spec)
+        (log,) = [
+            o for o in result.observers if isinstance(o, StructuredEventLog)
+        ]
+        assert log.events[-1].kind == "alert"  # flushed at close
+        assert path.read_text() == log.to_jsonl()
+        assert log._handle is None
 
     def test_alert_event_round_trips(self):
         import json
@@ -196,7 +224,8 @@ class TestLoaderValidation:
             event_from_dict({
                 "event": "admit", "round": 0, "shard": None, "stream": "s",
                 "service_class": None, "arrival_round": 0, "weight": 1.0,
-                "demand": 1.0, "frames": 4, "extra": True,
+                "demand": 1.0, "qmin_demand": 1.0, "frames": 4,
+                "extra": True,
             })
 
     def test_missing_field_rejected(self):
@@ -206,7 +235,8 @@ class TestLoaderValidation:
     def test_bad_json_line_is_numbered(self):
         good = event_to_line(AdmitEvent(
             round=0, shard=None, stream="s", service_class=None,
-            arrival_round=0, weight=1.0, demand=1.0, frames=4,
+            arrival_round=0, weight=1.0, demand=1.0, qmin_demand=1.0,
+            frames=4,
         ))
         with pytest.raises(ConfigurationError, match="line 2"):
             parse_events(good + "\n{not json\n")
@@ -214,7 +244,8 @@ class TestLoaderValidation:
     def test_blank_lines_skipped(self):
         good = event_to_line(AdmitEvent(
             round=0, shard=None, stream="s", service_class=None,
-            arrival_round=0, weight=1.0, demand=1.0, frames=4,
+            arrival_round=0, weight=1.0, demand=1.0, qmin_demand=1.0,
+            frames=4,
         ))
         events = parse_events("\n" + good + "\n\n")
         assert len(events) == 1 and isinstance(events[0], AdmitEvent)

@@ -13,6 +13,7 @@ from repro.obs import (
     InvariantViolationError,
     register_invariant,
 )
+from repro.obs.events import EventPublisher
 from repro.serving import ServingSpec, register_arbiter, serve
 from repro.streams.arbiter import CapacityArbiter
 
@@ -26,6 +27,11 @@ SLA_SPEC = {
     "renegotiation": {"name": "step", "kwargs": {"patience": 1, "step": 0.3}},
     "service_classes": ["gold", "silver", "bronze"],
 }
+
+
+def feed(observer):
+    """Publish hand-built inputs to ``observer`` as lifecycle records."""
+    return EventPublisher([observer])
 
 
 class OverAllocatingArbiter(CapacityArbiter):
@@ -69,17 +75,17 @@ class TestLedger:
     def test_third_party_invariant_registers(self):
         class NoThirteenthRound(Invariant):
             name = "no-thirteenth-round"
+            kinds = ("round",)
 
-            def on_round(self, round_index, allocations, capacity,
-                         shard_id=None):
-                if round_index == 13:
+            def on_event(self, event):
+                if event.round == 13:
                     self.violation("round 13 happened",
-                                   round_index=round_index)
+                                   round_index=event.round)
 
         register_invariant("no-thirteenth-round", NoThirteenthRound)
         try:
             observer = InvariantObserver(invariants=["no-thirteenth-round"])
-            observer.on_round(13, {}, 1.0)
+            feed(observer).round(13, {}, 1.0)
             assert [v.invariant for v in observer.violations] == [
                 "no-thirteenth-round"
             ]
@@ -120,7 +126,7 @@ class TestBrokenEngines:
 
     def test_negative_grants_caught(self):
         observer = InvariantObserver(invariants=["grant-conservation"])
-        observer.on_round(0, {"a": -5e6, "b": 29e6}, 24e6)
+        feed(observer).round(0, {"a": -5e6, "b": 29e6}, 24e6)
         names = [v.invariant for v in observer.violations]
         assert names.count("grant-conservation") >= 1
         assert any("negative" in v.detail for v in observer.violations)
@@ -138,16 +144,16 @@ class TestUnitChecks:
 
         spec = StreamSpec("g", 0, scaled_config(scale=27, frames=4),
                           service_class="gold")
-        observer.on_admit(spec, 0)
-        observer.on_renegotiate("g", 0.85, 0.3, 4)  # below the 0.5 floor
+        feed(observer).admit(spec, 0)
+        feed(observer).renegotiate("g", 0.85, 0.3, 4)  # below the 0.5 floor
         assert any(
             "below class floor" in v.detail for v in observer.violations
         )
         observer.violations.clear()
-        observer.on_renegotiate("g", 0.85, 0.85, 5)  # no-op step
+        feed(observer).renegotiate("g", 0.85, 0.85, 5)  # no-op step
         assert any("no-op" in v.detail for v in observer.violations)
         observer.violations.clear()
-        observer.on_renegotiate("g", 0.85, 1.2, 6)  # outside [0, 1]
+        feed(observer).renegotiate("g", 0.85, 1.2, 6)  # outside [0, 1]
         assert any("outside" in v.detail for v in observer.violations)
 
     def test_exactly_once_accounting_violations(self):
@@ -156,11 +162,11 @@ class TestUnitChecks:
 
         spec = StreamSpec("s", 0, scaled_config(scale=27, frames=4))
         observer = InvariantObserver(invariants=["exactly-once-rejection"])
-        observer.on_admit(spec, 0)
-        observer.on_admit(spec, 1)
+        feed(observer).admit(spec, 0)
+        feed(observer).admit(spec, 1)
         assert any("admitted twice" in v.detail for v in observer.violations)
         observer.violations.clear()
-        observer.on_reject(spec, 2)
+        feed(observer).reject(spec, 2)
         assert any(
             "rejected after admission" in v.detail
             for v in observer.violations
@@ -172,7 +178,7 @@ class TestUnitChecks:
 
         spec = StreamSpec("s", 0, scaled_config(scale=27, frames=4))
         observer = InvariantObserver(invariants=["exactly-once-rejection"])
-        observer.on_admit(spec, 0)
+        feed(observer).admit(spec, 0)
         observer.close()
         assert any("never departed" in v.detail for v in observer.violations)
 
@@ -180,7 +186,7 @@ class TestUnitChecks:
         from repro.cluster.migration import MigrationMove
 
         observer = InvariantObserver(invariants=["migration-headroom"])
-        observer.on_migrate(
+        feed(observer).migrate(
             MigrationMove(stream_id="s", source="shard-0", dest="shard-0",
                  kind="active"),
             3,
@@ -189,7 +195,7 @@ class TestUnitChecks:
             "identical source" in v.detail for v in observer.violations
         )
         observer.violations.clear()
-        observer.on_migrate(
+        feed(observer).migrate(
             MigrationMove(stream_id="ghost", source="shard-0", dest="shard-1",
                  kind="active"),
             4,
@@ -203,11 +209,11 @@ class TestUnitChecks:
 
         config = scaled_config(scale=27, frames=4)
         observer = InvariantObserver(invariants=["migration-headroom"])
-        observer.on_capacity(1.0, 0, shard_id="shard-1")  # ~zero headroom
-        observer.on_capacity(1e9, 0, shard_id="shard-0")
-        observer.on_admit(StreamSpec("s", 0, config), 0,
+        feed(observer).capacity(1.0, 0, shard_id="shard-1")  # ~zero headroom
+        feed(observer).capacity(1e9, 0, shard_id="shard-0")
+        feed(observer).admit(StreamSpec("s", 0, config), 0,
                           shard_id="shard-0")
-        observer.on_migrate(
+        feed(observer).migrate(
             MigrationMove(stream_id="s", source="shard-0", dest="shard-1",
                  kind="active"),
             2,

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, TelemetryObserver
+from repro.obs.events import DepartEvent, EventPublisher
 from repro.serving import serve
 from repro.sla.classes import resolve_classes
 from repro.streams.scenarios import StreamSpec
@@ -85,9 +86,9 @@ class TestWindowing:
         probes = []
 
         class Prober(TelemetryObserver):
-            def on_round(self, round_index, allocations, capacity,
-                         shard_id=None):
-                probes.append(dict(observer.current()))
+            def on_event(self, event):
+                if event.kind == "round":
+                    probes.append(dict(observer.current()))
 
         serve(SLA_SPEC, observers=[observer, Prober(window=1000)])
         assert len(probes) > 2
@@ -136,11 +137,13 @@ class TestWindowing:
 
     def test_unclassed_departures_bucketed(self):
         observer = TelemetryObserver(window=1000)
-        observer.on_admit(
-            StreamSpec("s", 0, _config()), 0
-        )
-        outcome = _FakeOutcome("s")
-        observer.on_depart(outcome, 3)
+        events = EventPublisher([observer])
+        events.admit(StreamSpec("s", 0, _config()), 0)
+        observer.on_event(DepartEvent(
+            round=3, shard=None, stream="s", service_class=None,
+            admitted_round=0, frames=1, skips=0, deadline_misses=0,
+            renegotiations=0, mean_quality=1.0, quality_timeline=(1.0,),
+        ))
         observer.close()
         assert observer.windows[-1]["departed"] == 1
         assert observer.windows[-1]["mean_quality"] == 1.0
@@ -150,19 +153,3 @@ def _config():
     from repro.experiments.configs import scaled_config
 
     return scaled_config(scale=27, frames=4)
-
-
-class _FakeResult:
-    def mean_quality(self):
-        return 1.0
-
-
-class _FakeSpec:
-    name = "s"
-    service_class = None
-
-
-class _FakeOutcome:
-    def __init__(self, name):
-        self.spec = _FakeSpec()
-        self.result = _FakeResult()

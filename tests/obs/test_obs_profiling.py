@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from repro.obs import PerfObserver, TelemetryObserver
-from repro.serving import phase_timing_enabled, serve
-from repro.serving.observers import CountingObserver
+from repro.serving import serve
+from repro.serving.observers import CountingObserver, phase_listeners
 
 FLEET_SPEC = {
     "scenario": {"name": "gold-rush",
@@ -70,10 +70,10 @@ class TestTimingGate:
     def test_bare_and_counting_runs_skip_timing(self):
         """Only an ``on_phase`` override switches the timers on: bare
         runs and passive observers never pay for a perf_counter read."""
-        assert not phase_timing_enabled(())
-        assert not phase_timing_enabled((CountingObserver(),))
-        assert not phase_timing_enabled((TelemetryObserver(),))
+        assert not phase_listeners(())
+        assert not phase_listeners((CountingObserver(),))
+        assert not phase_listeners((TelemetryObserver(),))
 
     def test_perf_observer_enables_timing(self):
-        assert phase_timing_enabled((PerfObserver(),))
-        assert phase_timing_enabled((CountingObserver(), PerfObserver()))
+        assert phase_listeners((PerfObserver(),))
+        assert phase_listeners((CountingObserver(), PerfObserver()))

@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import (
+    AdmitEvent,
+    CapacityEvent,
+    RenegotiateEvent,
     Span,
     TraceObserver,
     TraceRecord,
@@ -212,19 +213,27 @@ class TestSpanTrees:
     def test_down_renegotiation_links_to_a_recent_dip(self):
         # driven by hand: the cluster policies under test migrate away
         # from an outage instead of renegotiating, so the causal edge
-        # is exercised at the hook level
+        # is exercised on a hand-built event stream
         tracer = TraceObserver(link_window=10)
-        spec = SimpleNamespace(
-            name="s", service_class="gold", arrival_round=0,
-        )
-        tracer.on_capacity(100.0, 0, "A")
-        tracer.on_admit(spec, 0, "A")
-        tracer.on_capacity(40.0, 3, "A")
-        tracer.on_renegotiate("s", 3.0, 2.0, 5, "A")
+
+        def renegotiate(old, new, round_index):
+            return RenegotiateEvent(
+                round=round_index, shard="A", stream="s",
+                old_target=old, new_target=new,
+            )
+
+        tracer.on_event(CapacityEvent(round=0, shard="A", capacity=100.0))
+        tracer.on_event(AdmitEvent(
+            round=0, shard="A", stream="s", service_class="gold",
+            arrival_round=0, weight=1.0, demand=1.0, qmin_demand=1.0,
+            frames=1,
+        ))
+        tracer.on_event(CapacityEvent(round=3, shard="A", capacity=40.0))
+        tracer.on_event(renegotiate(3.0, 2.0, 5))
         # a later *up* step carries no cause
-        tracer.on_renegotiate("s", 2.0, 3.0, 8, "A")
+        tracer.on_event(renegotiate(2.0, 3.0, 8))
         # a down step past the link window does not link
-        tracer.on_renegotiate("s", 3.0, 2.0, 14, "A")
+        tracer.on_event(renegotiate(3.0, 2.0, 14))
         (record,) = tracer.records()
         down_near, up, down_far = [
             s for s in record.spans if s.kind == "renegotiate"

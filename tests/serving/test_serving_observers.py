@@ -1,11 +1,19 @@
-"""RoundObserver lifecycle hooks: coverage, payloads, and consistency."""
+"""The lifecycle event stream: coverage, payloads, and consistency."""
 
 from __future__ import annotations
 
 import math
 
+from repro.obs.events import (
+    AdmitEvent,
+    CapacityEvent,
+    DepartEvent,
+    MigrateEvent,
+    RejectEvent,
+    RenegotiateEvent,
+    RoundEvent,
+)
 from repro.serving import CountingObserver, RoundObserver, serve
-from repro.streams.fleet import StreamOutcome
 
 FLEET_SPEC = {
     "scenario": {"name": "flash-crowd",
@@ -39,7 +47,7 @@ SLA_SPEC = {
 
 
 class RecordingObserver(RoundObserver):
-    """Keeps full event payloads for payload-shape assertions."""
+    """Keeps every event record, by kind, for payload assertions."""
 
     def __init__(self) -> None:
         self.rounds = []
@@ -49,26 +57,17 @@ class RecordingObserver(RoundObserver):
         self.renegotiations = []
         self.departs = []
 
-    def on_round(self, round_index, allocations, capacity, shard_id=None):
-        self.rounds.append((round_index, allocations, capacity, shard_id))
-
-    def on_admit(self, spec, round_index, shard_id=None):
-        self.admits.append((spec, round_index, shard_id))
-
-    def on_reject(self, spec, round_index, shard_id=None):
-        self.rejects.append((spec, round_index, shard_id))
-
-    def on_migrate(self, move, round_index):
-        self.migrations.append((move, round_index))
-
-    def on_renegotiate(self, stream_id, old_target, new_target, round_index,
-                       shard_id=None):
-        self.renegotiations.append(
-            (stream_id, old_target, new_target, round_index, shard_id)
-        )
-
-    def on_depart(self, outcome, round_index, shard_id=None):
-        self.departs.append((outcome, round_index, shard_id))
+    def on_event(self, event):
+        by_kind = {
+            "round": self.rounds,
+            "admit": self.admits,
+            "reject": self.rejects,
+            "migrate": self.migrations,
+            "renegotiate": self.renegotiations,
+            "depart": self.departs,
+        }
+        if event.kind in by_kind:
+            by_kind[event.kind].append(event)
 
 
 class TestFleetHooks:
@@ -84,24 +83,27 @@ class TestFleetHooks:
     def test_payloads(self):
         observer = RecordingObserver()
         result = serve(FLEET_SPEC, observers=[observer])
-        # fleet hooks carry shard_id=None
-        assert all(r[3] is None for r in observer.rounds)
-        assert all(a[2] is None for a in observer.admits)
+        # fleet events carry shard=None
+        assert all(r.shard is None for r in observer.rounds)
+        assert all(a.shard is None for a in observer.admits)
         # allocations conserve the arbitrated pool on busy rounds
         capacity = result.runner.capacity
-        busy = [r for r in observer.rounds if r[1]]
+        busy = [r for r in observer.rounds if r.allocations]
         assert busy, "expected at least one busy round"
-        for _, allocations, pool, _ in busy:
-            assert pool == capacity
-            assert math.isclose(sum(allocations.values()), capacity)
-        # departures carry full outcomes, in result order
-        assert [d[0] for d in observer.departs] == result.outcomes
-        assert all(isinstance(d[0], StreamOutcome) for d in observer.departs)
-        # a queued stream's admit round can trail its arrival round
-        waits = [
-            admit_round - spec.arrival_round
-            for spec, admit_round, _ in observer.admits
+        for event in busy:
+            assert event.capacity == capacity
+            assert math.isclose(sum(event.allocations.values()), capacity)
+        # departures carry each outcome's record, in result order
+        assert [
+            (d.stream, d.admitted_round, d.frames, d.renegotiations)
+            for d in observer.departs
+        ] == [
+            (o.spec.name, o.admitted_round, len(o.result), o.renegotiations)
+            for o in result.outcomes
         ]
+        assert all(isinstance(d, DepartEvent) for d in observer.departs)
+        # a queued stream's admit round can trail its arrival round
+        waits = [a.round - a.arrival_round for a in observer.admits]
         assert all(w >= 0 for w in waits)
         assert any(w > 0 for w in waits), "flash crowd should queue someone"
 
@@ -128,35 +130,36 @@ class TestClusterHooks:
         observer = RecordingObserver()
         result = serve(CLUSTER_SPEC, observers=[observer])
         expected = {pool.shard_id for pool in result.pools}
-        assert {r[3] for r in observer.rounds} == expected
-        assert {a[2] for a in observer.admits} <= expected
-        assert {d[2] for d in observer.departs} <= expected
+        assert {r.shard for r in observer.rounds} == expected
+        assert {a.shard for a in observer.admits} <= expected
+        assert {d.shard for d in observer.departs} <= expected
         # migration payloads are the executed moves, in order
-        assert [m[0] for m in observer.migrations] == result.migrations
+        assert [
+            (m.stream, m.shard, m.dest, m.move_kind)
+            for m in observer.migrations
+        ] == [
+            (m.stream_id, m.source, m.dest, m.kind) for m in result.migrations
+        ]
 
     def test_migrated_stream_departs_from_destination_shard(self):
         observer = RecordingObserver()
         serve(CLUSTER_SPEC, observers=[observer])
         active_moves = [
-            m for m, _ in observer.migrations if m.kind == "active"
+            m for m in observer.migrations if m.move_kind == "active"
         ]
-        departed_at = {
-            outcome.spec.name: shard_id
-            for outcome, _, shard_id in observer.departs
-        }
+        departed_at = {d.stream: d.shard for d in observer.departs}
         for move in active_moves:
             # the stream finished somewhere, and if it never moved
             # again its departure shard is the move's destination
-            assert move.stream_id in departed_at
+            assert move.stream in departed_at
             last_move = [
-                m for m, _ in observer.migrations
-                if m.stream_id == move.stream_id
+                m for m in observer.migrations if m.stream == move.stream
             ][-1]
-            assert departed_at[move.stream_id] == last_move.dest
+            assert departed_at[move.stream] == last_move.dest
 
 
 class TestSlaAccounting:
-    """Preempted queued specs: exactly one on_reject, counted once."""
+    """Preempted queued specs: exactly one reject event, counted once."""
 
     def test_preempted_specs_rejected_exactly_once(self):
         observer = RecordingObserver()
@@ -171,7 +174,7 @@ class TestSlaAccounting:
             assert rejected_names.count(spec.name) == 1
         # observers saw each final rejection exactly once, preempted
         # included, and nothing else
-        observed = [s.name for s, _, _ in observer.rejects]
+        observed = [r.stream for r in observer.rejects]
         assert sorted(observed) == sorted(rejected_names)
         assert counting.rejected == result.rejected_count
         # bookkeeping identity: every offered stream is decided once
@@ -180,7 +183,7 @@ class TestSlaAccounting:
         assert counting.departed == result.served_count
         assert offered == 11
         # preempted streams never ran: no admit, no depart
-        admitted_names = {s.name for s, _, _ in observer.admits}
+        admitted_names = {a.stream for a in observer.admits}
         assert admitted_names.isdisjoint(s.name for s in preempted)
 
     def test_renegotiation_hook_matches_result_counts(self):
@@ -193,14 +196,14 @@ class TestSlaAccounting:
         assert len(observer.renegotiations) == total
         # payloads are (stream, old, new) with a real step each time
         served_names = {o.spec.name for o in result.outcomes}
-        for stream_id, old, new, _, shard_id in observer.renegotiations:
-            assert stream_id in served_names
-            assert new != old
-            assert 0.0 <= new <= 1.0
-            assert shard_id is None  # fleet topology
+        for event in observer.renegotiations:
+            assert event.stream in served_names
+            assert event.new_target != event.old_target
+            assert 0.0 <= event.new_target <= 1.0
+            assert event.shard is None  # fleet topology
         # per-class totals agree with the hook stream ids
         by_class = result.per_class()
-        reneg_names = {r[0] for r in observer.renegotiations}
+        reneg_names = {r.stream for r in observer.renegotiations}
         class_of_stream = {
             o.spec.name: o.spec.service_class for o in result.outcomes
         }
@@ -213,8 +216,38 @@ class TestBaseObserverIsNoOp:
         observer = RoundObserver()
         assert observer.on_round(0, {}, 1.0) is None
         assert observer.on_round(0, {}, 1.0, shard_id="s") is None
-        assert observer.on_admit(None, 0) is None
-        assert observer.on_reject(None, 0) is None
-        assert observer.on_migrate(None, 0) is None
-        assert observer.on_renegotiate("s", 0.8, 0.7, 0) is None
-        assert observer.on_depart(None, 0) is None
+        for event in (
+            RoundEvent(round=0, shard=None, capacity=1.0, allocations={}),
+            RoundEvent(round=0, shard="s", capacity=1.0, allocations={}),
+            AdmitEvent(round=0, shard=None, stream="s", service_class=None,
+                       arrival_round=0, weight=1.0, demand=1.0,
+                       qmin_demand=1.0, frames=1),
+            RejectEvent(round=0, shard=None, stream="s", service_class=None,
+                        arrival_round=0),
+            MigrateEvent(round=0, shard="a", stream="s", dest="b",
+                         move_kind="active"),
+            RenegotiateEvent(round=0, shard=None, stream="s",
+                             old_target=0.8, new_target=0.7),
+            DepartEvent(round=0, shard=None, stream="s", service_class=None,
+                        admitted_round=0, frames=0, skips=0,
+                        deadline_misses=0, renegotiations=0,
+                        mean_quality=None, quality_timeline=()),
+            CapacityEvent(round=0, shard=None, capacity=1.0),
+        ):
+            assert observer.on_event(event) is None
+
+    def test_round_events_route_to_on_round(self):
+        class Rounds(RoundObserver):
+            def __init__(self):
+                self.seen = []
+
+            def on_round(self, round_index, allocations, capacity,
+                         shard_id=None):
+                self.seen.append((round_index, capacity, shard_id))
+
+        observer = Rounds()
+        observer.on_event(
+            RoundEvent(round=3, shard="s", capacity=2.0, allocations={})
+        )
+        observer.on_event(CapacityEvent(round=4, shard="s", capacity=1.0))
+        assert observer.seen == [(3, 2.0, "s")]
