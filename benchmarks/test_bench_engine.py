@@ -17,6 +17,13 @@ repeats **interleaved** across engines — back-to-back blocks would let
 a slow patch of CI noise land entirely on one engine and skew the
 ratio (the failure mode that once produced a negative overhead in the
 telemetry bench).
+
+Two deterministic counters ride along and are gated by value, so they
+hold on any machine: ``bank_bytes`` (the array bytes of the time banks
+the fleet's sessions hold — rises if a bank keeps more than its fused
+arrays) and ``completion_walks`` (distinct admission completion walks
+among the fleet's configs — 1 for a same-shape fleet, rises if the
+walk is keyed per config again).
 """
 
 from __future__ import annotations
@@ -24,9 +31,13 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
+
+from repro.engine.bank import bank_for
 from repro.obs import InvariantObserver, StructuredEventLog
-from repro.serving import serve
+from repro.serving import build_scenario, serve
 from repro.sim.runner import reset_caches
+from repro.streams.admission import qmin_completions
 
 from conftest import run_once, write_bench_trajectory
 
@@ -62,6 +73,25 @@ def checked_run(engine: str):
     result = serve(engine_spec(engine), observers=[log, invariants])
     assert invariants.violations == []
     return result, log.to_jsonl()
+
+
+def fleet_footprint(result) -> tuple[int, int]:
+    """``(bank_bytes, completion_walks)`` of a served fleet.
+
+    ``bank_for`` hands back the cached bank each session held (same
+    config and salt); the walks are kept referenced while counted so
+    ``id`` cannot be reused by a freed tuple.
+    """
+    specs = build_scenario(result.spec).specs
+    banks = [bank_for(s.config, f"stream-timing-{s.name}") for s in specs]
+    bank_bytes = sum(
+        value.nbytes
+        for bank in banks
+        for value in (getattr(bank, slot) for slot in bank.__slots__)
+        if isinstance(value, np.ndarray)
+    )
+    walks = [qmin_completions(s.config) for s in specs]
+    return bank_bytes, len({id(walk) for walk in walks})
 
 
 def assert_values_equal(mine, theirs):
@@ -112,6 +142,8 @@ def test_bench_engine_speedup(benchmark, results_dir):
     # --- the acceptance criterion ---------------------------------
     summary = scalar_result.summary()
     assert summary["served"] == STREAMS
+    bank_bytes, completion_walks = fleet_footprint(scalar_result)
+    assert completion_walks == 1
     assert speedup >= SPEEDUP_FLOOR, (
         f"vectorized speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x floor"
     )
@@ -128,4 +160,6 @@ def test_bench_engine_speedup(benchmark, results_dir):
         "served": summary["served"],
         "rejected": summary["rejected"],
         "mean_quality": round(summary["mean_quality"], 4),
+        "bank_bytes": bank_bytes,
+        "completion_walks": completion_walks,
     })

@@ -29,12 +29,16 @@ from repro.core.sequences import (
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of a feasibility check, with per-position diagnostics."""
+    """Outcome of a feasibility check, with per-position diagnostics.
+
+    ``slacks`` is a tuple from :func:`check_feasibility` and a read-only
+    float64 array from the admission fast path.
+    """
 
     feasible: bool
     worst_slack: Time
     completion_times: tuple[Time, ...]
-    slacks: tuple[Time, ...]
+    slacks: Sequence[Time]
     first_violation: int | None
 
     def __bool__(self) -> bool:

@@ -22,9 +22,10 @@ The ``lru_cache`` wrappers below return **shared** objects:
   to ``result.frames`` or ``replace``-in-place.  Code that needs a
   private copy should deep-copy, or call :func:`reset_caches` first.
 
-:func:`reset_caches` drops all three caches — tests and long-lived
-fleet processes call it to release memory and to guarantee isolation
-between experiments.
+:func:`reset_caches` drops these, the compiled controllers, decision
+kernels, shifted thresholds, admission walks and time banks — tests
+and long-lived fleet processes call it to release memory and to
+guarantee isolation between experiments.
 """
 
 from __future__ import annotations
@@ -79,11 +80,7 @@ def reset_caches() -> None:
     from repro.engine.bank import bank_for
     from repro.engine.kernel import clear_shifted_cache, decision_kernel
     from repro.sim.encoder_loop import compiled_controller
-    from repro.streams.admission import (
-        _completion_array,
-        qmin_completions,
-        qmin_demand,
-    )
+    from repro.streams.admission import _qmin_walk
 
     _controlled_cached.cache_clear()
     _constant_cached.cache_clear()
@@ -92,9 +89,7 @@ def reset_caches() -> None:
     decision_kernel.cache_clear()
     clear_shifted_cache()
     bank_for.cache_clear()
-    qmin_completions.cache_clear()
-    _completion_array.cache_clear()
-    qmin_demand.cache_clear()
+    _qmin_walk.cache_clear()
 
 
 def run_controlled(

@@ -31,10 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.feasibility import FeasibilityReport
-from repro.core.sequences import INFINITY, cumulative
+from repro.core.sequences import cumulative
 from repro.errors import ConfigurationError
-from repro.sim.encoder_loop import SimulationConfig
-from repro.sim.runner import simulation_for
+from repro.sim.encoder_loop import SimulationConfig, compiled_controller
+# bound here for perfbench's tracer, which wraps this module attribute
+from repro.sim.runner import simulation_for  # noqa: F401
 
 
 class AdmissionDecision(enum.Enum):
@@ -60,54 +61,59 @@ class AdmissionVerdict:
     preempted: tuple = ()
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=64)
+def _qmin_walk(
+    macroblocks: int, nominal_budget: float, decision_overhead: float, mode: str
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """:func:`qmin_completions` for one shape, plus the same values as a
+    read-only float64 array (for the vectorized slacks)."""
+    compiled = compiled_controller(macroblocks, nominal_budget, decision_overhead)
+    system = compiled.system
+    times = system.average_times if mode == "average" else system.worst_times
+    qmin = system.qmin
+    completions = tuple(
+        cumulative([times.time(action, qmin) for action in compiled.tables.schedule])
+    )
+    array = np.asarray(completions, dtype=np.float64)
+    array.setflags(write=False)
+    return completions, array
+
+
+def _shape_walk(
+    config: SimulationConfig, mode: str
+) -> tuple[tuple[float, ...], np.ndarray]:
+    return _qmin_walk(
+        config.macroblocks, config.nominal_budget, config.decision_overhead, mode
+    )
+
+
 def qmin_completions(
     config: SimulationConfig, mode: str = "average"
 ) -> tuple[float, ...]:
     """Cumulative qmin completion times over the stream's schedule.
 
     The expensive part of every feasibility check — walking the
-    schedule and summing per-action times — is deterministic per
-    ``(config, mode)``, so it is computed once here and shared by
-    :func:`qmin_demand` and :meth:`AdmissionController.feasibility`
-    (which only shift it by the available budget).  ``cumulative`` is
-    the same left-fold as ``sum``, so the last element *is* the qmin
-    demand, to the bit.
+    schedule and summing per-action times — reads only the compiled
+    controller, so it is computed once per shape ``(macroblocks,
+    nominal_budget, decision_overhead, mode)``, whatever the seed or
+    clip length, and shared by :func:`qmin_demand` and
+    :meth:`AdmissionController.feasibility` (which only shift it by the
+    available budget).  ``cumulative`` is the same left-fold as
+    ``sum``, so the last element *is* the qmin demand, to the bit.
     """
-    simulation = simulation_for(config)
-    system = simulation.system
-    times = system.average_times if mode == "average" else system.worst_times
-    qmin = system.qmin
-    return tuple(
-        cumulative(
-            [times.time(action, qmin) for action in simulation.tables.schedule]
-        )
-    )
+    return _shape_walk(config, mode)[0]
 
 
-@lru_cache(maxsize=1024)
-def _completion_array(
-    config: SimulationConfig, mode: str
-) -> np.ndarray:
-    """:func:`qmin_completions` as a read-only float64 array (for the
-    vectorized slack computation in ``feasibility``)."""
-    array = np.asarray(qmin_completions(config, mode), dtype=np.float64)
-    array.setflags(write=False)
-    return array
-
-
-@lru_cache(maxsize=256)
 def qmin_demand(config: SimulationConfig, mode: str = "average") -> float:
     """Cycles per period the stream needs at its cheapest quality.
 
     ``mode="average"`` uses the expected-time tables (statistical
     admission, the default); ``"worst"`` uses the worst-case tables
-    (hard admission — overrun-proof but pessimistic).  Memoized: the
-    sum over the schedule is deterministic per (config, mode) and the
-    fleet runner asks for it on every offer and release.
+    (hard admission — overrun-proof but pessimistic).  The last
+    element of the shared per-shape walk, so the fleet runner's ask on
+    every offer and release is one cache lookup.
     """
-    completions = qmin_completions(config, mode)
-    return completions[-1] if completions else 0.0
+    return qmin_completions(config, mode)[-1]
 
 
 class AdmissionController:
@@ -186,29 +192,21 @@ class AdmissionController:
 
         The schedule's only deadline is the uniform cycle deadline, so
         every action's deadline is the available per-round budget: the
-        stream fits iff the worst slack is non-negative.
+        stream fits iff the worst slack is non-negative.  ``slacks`` is
+        the read-only float64 array ``available - completions``.
         """
         if available is None:
             available = self.remaining
         # fast path over check_feasibility: the completion times are
-        # memoized per (config, mode) and the uniform deadline enters
+        # memoized per (shape, mode) and the uniform deadline enters
         # as a constant, so slack_i = available - completion_i exactly
         # (IEEE subtraction is monotone, so the min slack is
         # available - max(completion) and the first violation is the
         # first completion above the budget — bit-identical to the
         # generic walk).
-        completions = qmin_completions(config, self.mode)
-        if not completions:
-            return FeasibilityReport(
-                feasible=True,
-                worst_slack=INFINITY,
-                completion_times=(),
-                slacks=(),
-                first_violation=None,
-            )
-        slacks = tuple(
-            (available - _completion_array(config, self.mode)).tolist()
-        )
+        completions, array = _shape_walk(config, self.mode)
+        slacks = available - array
+        slacks.setflags(write=False)
         # completion times are a nonnegative-term running sum, so the
         # last element is the maximum and the sequence is sorted:
         # min slack = available - last, first violation by bisection

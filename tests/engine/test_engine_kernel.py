@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ENGINES, validate_engine
-from repro.engine.bank import FrameTimeBank
+from repro.engine.bank import FrameTimeBank, draw_times
 from repro.engine.kernel import (
     batch_decide,
     decision_kernel,
@@ -124,35 +124,39 @@ class TestKernelIdentity:
 
 class TestFrameTimeBank:
     def test_same_salt_same_bank(self, simulation):
-        a = FrameTimeBank(simulation, simulation._rng("bank-salt"))
-        b = FrameTimeBank(simulation, simulation._rng("bank-salt"))
-        assert np.array_equal(a.grab, b.grab)
-        assert np.array_equal(a.me, b.me)
-        assert np.array_equal(a.post, b.post)
+        a = draw_times(simulation, simulation._rng("bank-salt"))
+        b = draw_times(simulation, simulation._rng("bank-salt"))
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_different_salt_different_bank(self, simulation):
-        a = FrameTimeBank(simulation, simulation._rng("bank-salt"))
-        b = FrameTimeBank(simulation, simulation._rng("bank-other"))
-        assert not np.array_equal(a.grab, b.grab)
+        a, *_ = draw_times(simulation, simulation._rng("bank-salt"))
+        b, *_ = draw_times(simulation, simulation._rng("bank-other"))
+        assert not np.array_equal(a, b)
 
     def test_shapes(self, simulation):
+        grab, me, post = draw_times(simulation, simulation._rng("shapes"))
         bank = FrameTimeBank(simulation, simulation._rng("shapes"))
         frames = len(simulation.contents)
         count = simulation.config.macroblocks
         levels = len(simulation._levels)
-        assert bank.grab.shape == (frames, count)
-        assert bank.me.shape == (frames, count, levels)
-        assert bank.post.shape == (frames, count)
+        assert grab.shape == (frames, count)
+        assert me.shape == (frames, count, levels)
+        assert post.shape == (frames, count)
         assert bank.grab_plus.shape == (frames, count)
         assert bank.me_plus.shape == (frames, count, levels)
+        assert (bank.frames, bank.macroblocks) == (frames, count)
+
+    def test_bank_keeps_only_fused_arrays(self):
+        assert FrameTimeBank.__slots__ == (
+            "grab_plus", "me_plus", "frames", "macroblocks"
+        )
 
     def test_iframe_rows_constant_across_levels(self, simulation):
         """I-frames run intra coding whatever the controller chooses."""
-        bank = FrameTimeBank(simulation, simulation._rng("iframes"))
+        _, me, _ = draw_times(simulation, simulation._rng("iframes"))
         for f, content in enumerate(simulation.contents):
-            rows_equal = np.all(
-                bank.me[f] == bank.me[f, :, :1], axis=None
-            )
+            rows_equal = np.all(me[f] == me[f, :, :1], axis=None)
             if content.is_iframe:
                 assert rows_equal
             else:
@@ -167,11 +171,12 @@ class TestFrameTimeBank:
     def test_fused_arrays_fold_the_kernel_constants(self, simulation):
         """grab_plus/me_plus are exactly the kernels' hoisted adds."""
         bank = FrameTimeBank(simulation, simulation._rng("fused"))
+        grab, me, post = draw_times(simulation, simulation._rng("fused"))
         overhead = simulation.config.decision_overhead
-        assert np.array_equal(bank.grab_plus, 2.0 * overhead + bank.grab)
+        assert np.array_equal(bank.grab_plus, 2.0 * overhead + grab)
         assert np.array_equal(
             bank.me_plus,
-            bank.me + (7.0 * overhead + bank.post)[:, :, None],
+            me + (7.0 * overhead + post)[:, :, None],
         )
 
 

@@ -1,5 +1,8 @@
 """Admission control against the paper's feasibility analysis."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core.feasibility import FeasibilityReport
@@ -8,8 +11,10 @@ from repro.experiments.configs import scaled_config
 from repro.streams.admission import (
     AdmissionController,
     AdmissionDecision,
+    qmin_completions,
     qmin_demand,
 )
+from repro.sim.runner import reset_caches
 from repro.streams.scenarios import StreamSpec
 
 
@@ -27,6 +32,29 @@ class TestQminDemand:
         # the scaled operating point leaves qmin headroom inside a period
         config = small_config()
         assert 0 < qmin_demand(config, "average") < config.period
+
+
+class TestSharedWalk:
+    def test_same_shape_shares_one_walk(self):
+        config = small_config(seed=1)
+        other = replace(config, seed=2)
+        walk = qmin_completions(config)
+        assert qmin_completions(other) is walk
+        reset_caches()
+        fresh = qmin_completions(config)
+        assert fresh is not walk
+        assert fresh == walk
+
+    def test_slacks_shift_the_shared_completions(self):
+        config = small_config()
+        controller = AdmissionController(capacity=10 * config.period)
+        report = controller.feasibility(config)
+        assert isinstance(report.slacks, np.ndarray)
+        assert not report.slacks.flags.writeable
+        assert report.slacks.tolist() == [
+            controller.remaining - c for c in qmin_completions(config)
+        ]
+        assert report.slacks[-1] == report.worst_slack
 
 
 class TestDecisions:
